@@ -4,7 +4,8 @@
     nemflow check <config>     validate a configuration and exit
     nemflow inspect <snapshot> print a snapshot header
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 I/O error,
+5 energy-law violation.
 """
 
 from __future__ import annotations

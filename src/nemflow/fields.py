@@ -249,10 +249,6 @@ def l2_norm(f: VectorField) -> float:
     return float(np.sqrt(max(l2_inner(f, f), 0.0)))
 
 
-def linf_norm(f: VectorField) -> float:
-    return float(np.max(np.abs(f.values))) if f.values.size else 0.0
-
-
 def spectral_l2_norm(coeffs: np.ndarray) -> float:
     """L2 norm of the field represented by normalised coefficients."""
     return float(np.sqrt(np.sum(np.abs(coeffs) ** 2)))

@@ -5,7 +5,8 @@ interpolant, so gradients, divergences and Laplacians are exact for resolved
 modes.  Nonlinear terms are evaluated pointwise on a zero-padded grid of size
 padding_factor * n and truncated back, which makes the truncated product equal
 to the exact L2 (Galerkin) projection of the true product whenever the padding
-covers the polynomial degree.
+covers the polynomial degree.  Padded samples are real, so padding and
+truncation go through numpy's real-to-complex transforms on half spectra.
 
 Internal helpers operate on raw coefficient arrays with an arbitrary number of
 leading axes followed by grid.dim spatial axes; the typed wrappers work on
@@ -14,6 +15,7 @@ VectorField/TensorField.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -22,8 +24,10 @@ from .fields import (
     GridSpec,
     TensorField,
     VectorField,
+    _freeze,
     fftn_norm,
     ifftn_norm,
+    integer_modes,
     laplace_symbol,
     nyquist_mask,
     wavevectors,
@@ -34,12 +38,6 @@ _TWO_PI_I = 2.0j * np.pi
 
 # ---------------------------------------------------------------------------
 # coefficient-space primitives
-
-
-def deriv_hat(coeffs: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
-    """d/dx_axis in coefficient space; Nyquist-mode derivative is zero."""
-    k = wavevectors(grid)[axis]
-    return _TWO_PI_I * k * coeffs
 
 
 def grad_hat(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -80,63 +78,54 @@ def max_mode_divergence(coeffs: np.ndarray, grid: GridSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# zero-padding machinery
+# zero-padding machinery: padded spectra are real-to-complex half spectra,
+# shape (m, ..., m, m//2 + 1), reached through one cached flat-index map per
+# (n, m, dim) and direction
 
 
-def _pad_axis(coeffs: np.ndarray, axis: int, n_small: int, n_big: int) -> np.ndarray:
-    """Embed one fft-ordered axis into a larger grid.
+def _half_shape(m: int, dim: int) -> tuple[int, ...]:
+    return (m,) * (dim - 1) + (m // 2 + 1,)
 
-    The unpaired Nyquist coefficient (slot -n/2) is split half-and-half onto
-    the +n/2 and -n/2 slots of the big grid, which reproduces the symmetric
-    real interpolant exactly.
+
+@lru_cache(maxsize=None)
+def _pad_map(n: int, m: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(src, dst, weight) embedding the n-grid spectrum into the m-grid half
+    spectrum: half[dst] = weight * coeffs[src].
+
+    On a larger grid the unpaired Nyquist coefficient (slot -n/2) is split
+    half-and-half onto the +n/2 and -n/2 slots, which reproduces the
+    symmetric real interpolant exactly; the half spectrum keeps only the
+    images with a non-negative last wavenumber.
     """
-    if n_big == n_small:
-        return coeffs
-    shape = list(coeffs.shape)
-    shape[axis] = n_big
-    out = np.zeros(shape, dtype=coeffs.dtype)
-    h = n_small // 2
-
-    def sl(a, b):
-        idx = [slice(None)] * coeffs.ndim
-        idx[axis] = slice(a, b)
-        return tuple(idx)
-
-    out[sl(0, h)] = coeffs[sl(0, h)]
-    out[sl(n_big - h + 1, n_big)] = coeffs[sl(h + 1, n_small)]
-    nyq = coeffs[sl(h, h + 1)]
-    out[sl(h, h + 1)] = 0.5 * nyq
-    out[sl(n_big - h, n_big - h + 1)] = 0.5 * nyq
-    return out
+    src1, img1, w1 = np.arange(n), integer_modes(n), np.ones(n)
+    if m > n:
+        src1, img1 = np.append(src1, n // 2), np.append(img1, n // 2)
+        w1 = np.where(np.abs(img1) == n // 2, 0.5, 1.0)
+    idx = [i.ravel() for i in np.meshgrid(*([np.arange(src1.size)] * dim), indexing="ij")]
+    keep = img1[idx[-1]] % m <= m // 2
+    idx = [i[keep] for i in idx]
+    src = np.ravel_multi_index([src1[i] for i in idx], (n,) * dim)
+    dst = np.ravel_multi_index([img1[i] % m for i in idx], _half_shape(m, dim))
+    weight = np.prod([w1[i] for i in idx], axis=0).astype(np.complex128)
+    return _freeze(src), _freeze(dst), _freeze(weight)
 
 
-def _truncate_axis(coeffs: np.ndarray, axis: int, n_big: int, n_small: int) -> np.ndarray:
-    """Restrict one fft-ordered axis to the small grid, dropping the Nyquist
-    slot (band-limited projection)."""
-    if n_big == n_small:
-        out = coeffs.copy()
-        idx = [slice(None)] * coeffs.ndim
-        idx[axis] = slice(n_small // 2, n_small // 2 + 1)
-        out[tuple(idx)] = 0.0
-        return out
-    shape = list(coeffs.shape)
-    shape[axis] = n_small
-    out = np.zeros(shape, dtype=coeffs.dtype)
-    h = n_small // 2
+@lru_cache(maxsize=None)
+def _truncate_map(n: int, m: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(src, dst, flip) restricting the m-grid half spectrum to the retained
+    n-grid modes: coeffs[dst] = half[src], conjugated where flip.
 
-    def sb(a, b):
-        idx = [slice(None)] * coeffs.ndim
-        idx[axis] = slice(a, b)
-        return tuple(idx)
-
-    def ss(a, b):
-        idx = [slice(None)] * out.ndim
-        idx[axis] = slice(a, b)
-        return tuple(idx)
-
-    out[ss(0, h)] = coeffs[sb(0, h)]
-    out[ss(h + 1, n_small)] = coeffs[sb(n_big - h + 1, n_big)]
-    return out
+    A mode whose last non-zero wavenumber is negative is read as the
+    conjugate of its mirror, so the result is exactly Hermitian.  Nyquist
+    slots are not written (band-limited projection).
+    """
+    k = np.stack(np.meshgrid(*([integer_modes(n)] * dim), indexing="ij")).reshape(dim, -1)
+    dst = np.flatnonzero(np.all(np.abs(k) < n // 2, axis=0))
+    k = k[:, dst]
+    # |k_j| < n/2, so the sign of this key is the sign of the last non-zero k_j
+    flip = (n ** np.arange(dim)) @ k < 0
+    src = np.ravel_multi_index(np.where(flip, -k, k) % m, _half_shape(m, dim))
+    return _freeze(src), _freeze(dst), _freeze(flip)
 
 
 def padded_size(grid: GridSpec, degree: int | None = None) -> int:
@@ -157,30 +146,27 @@ def padded_size(grid: GridSpec, degree: int | None = None) -> int:
     return grid.padded_n
 
 
-def pad_hat(coeffs: np.ndarray, grid: GridSpec, msize: int | None = None) -> np.ndarray:
-    msize = msize or grid.padded_n
-    out = coeffs
-    for axis in range(-grid.dim, 0):
-        out = _pad_axis(out, axis, grid.n, msize)
-    return out
-
-
-def truncate_hat(coeffs_big: np.ndarray, grid: GridSpec) -> np.ndarray:
-    msize = coeffs_big.shape[-1]
-    out = coeffs_big
-    for axis in range(-grid.dim, 0):
-        out = _truncate_axis(out, axis, msize, grid.n)
-    return out
-
-
 def to_padded(coeffs: np.ndarray, grid: GridSpec, degree: int | None = None) -> np.ndarray:
     """Real samples of the interpolant on the padded grid."""
-    return ifftn_norm(pad_hat(coeffs, grid, padded_size(grid, degree)), grid.dim)
+    m, dim = padded_size(grid, degree), grid.dim
+    src, dst, weight = _pad_map(grid.n, m, dim)
+    lead = coeffs.shape[:-dim]
+    half = np.zeros(lead + _half_shape(m, dim), dtype=np.complex128)
+    half.reshape(lead + (-1,))[..., dst] = coeffs.reshape(lead + (-1,))[..., src] * weight
+    return np.fft.irfftn(half, s=(m,) * dim, axes=tuple(range(-dim, 0)), norm="forward")
 
 
 def from_padded(values_padded: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Coefficients of the band-limited projection of padded-grid samples."""
-    return truncate_hat(fftn_norm(values_padded, grid.dim), grid)
+    dim = grid.dim
+    src, dst, flip = _truncate_map(grid.n, values_padded.shape[-1], dim)
+    lead = values_padded.shape[:-dim]
+    half = np.fft.rfftn(values_padded, axes=tuple(range(-dim, 0)), norm="forward")
+    vals = half.reshape(lead + (-1,))[..., src]
+    np.conjugate(vals, out=vals, where=flip)
+    out = np.zeros(lead + grid.shape, dtype=np.complex128)
+    out.reshape(lead + (-1,))[..., dst] = vals
+    return out
 
 
 def padded_gradient(coeffs: np.ndarray, grid: GridSpec, degree: int | None = None) -> np.ndarray:

@@ -34,6 +34,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
+EXIT_ENERGY = 5
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,9 @@ def run_simulation(cfg: RunConfig) -> RunReport:
     """Step from t=0 until t >= t_end, writing one CSV row per accepted step.
 
     Returns a report carrying the exit status: 0 on success, 3 on solver
-    failure (partial outputs are kept), 4 on I/O errors.
+    failure (partial outputs are kept), 4 on I/O errors, 5 when every step
+    was taken but the discrete energy law failed on some step (outputs are
+    kept).
     """
     grid = cfg.grid
     state = initial_condition(cfg.ic.kind, grid, cfg.ic.seed, cfg.ic.amplitude)
@@ -147,5 +150,7 @@ def run_simulation(cfg: RunConfig) -> RunReport:
         return RunReport(EXIT_IO, step, state.time, trace_path, tuple(snapshots),
                          checks_ok, failure=str(exc))
 
+    if status == EXIT_OK and not checks_ok:
+        status = EXIT_ENERGY
     return RunReport(status, step, state.time, trace_path, tuple(snapshots),
                      checks_ok, failure=failure)

@@ -128,7 +128,6 @@ class _Terms:
     bundles cached for exact Jacobian actions."""
 
     mu: np.ndarray
-    f_sum: np.ndarray     # f_plus(d_it) + f_minus(d_prev), projected
     v: np.ndarray
     transport: np.ndarray
     conv: np.ndarray
@@ -205,7 +204,6 @@ class _Workspace:
         d3_p = to_padded(d_hat, grid, degree=3)
         fp = from_padded(np.sum(d3_p * d3_p, axis=0) * d3_p / p.gamma, grid)
         mu = band_limit_hat(self.lap * d_hat + fp - self.d_prev / p.gamma, grid)
-        f_sum = band_limit_hat(mu - self.lap * d_hat, grid)
         d_b = padded_bundle(d_hat, grid)
         mu_b = padded_bundle(mu, grid)
         u_b = padded_bundle(u_hat, grid)
@@ -215,7 +213,7 @@ class _Workspace:
         transport = director_transport_hat(d_hat, u_hat + v, p.alpha, grid, d_b=d_b, w_b=w_b)
         conv = convective_hat(u_hat, grid, u_b=u_b)
         self._finite(mu, v, transport, conv)
-        return _Terms(mu, f_sum, v, transport, conv, d_b, mu_b, w_b, u_b, d3_p)
+        return _Terms(mu, v, transport, conv, d_b, mu_b, w_b, u_b, d3_p)
 
     def jacobian_action(
         self, t: _Terms, delta_d: np.ndarray, delta_u: np.ndarray

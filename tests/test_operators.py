@@ -2,15 +2,27 @@ import numpy as np
 import pytest
 
 from nemflow import oracle
-from nemflow.fields import GridSpec, VectorField, forward_transform, l2_inner
+from nemflow.fields import (
+    GridSpec,
+    VectorField,
+    fftn_norm,
+    forward_transform,
+    integer_modes,
+    l2_inner,
+    nyquist_mask,
+)
 from nemflow.operators import (
+    band_limit_hat,
     divergence,
+    from_padded,
     gradient,
     laplacian,
     leray_project,
     max_mode_divergence,
     multiply_dealiased,
+    padded_size,
     sym_skew_gradient,
+    to_padded,
 )
 from util import band_limited, solenoidal
 
@@ -187,3 +199,65 @@ def test_integration_by_parts(grid):
         lhs = l2_inner(f, dg)
         rhs = -l2_inner(df, g)
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def _dense_interpolant(coeffs, n, m, dim):
+    """Symmetric trigonometric interpolant of fft-ordered coefficients,
+    summed directly at the m^dim padded points; the Nyquist mode is a cosine."""
+    x = np.arange(m) / m
+    basis = np.exp(2j * np.pi * np.outer(x, integer_modes(n)))
+    basis[:, n // 2] = np.cos(np.pi * n * x)
+    out = coeffs
+    for ax in range(-dim, 0):
+        out = np.moveaxis(np.tensordot(out, basis, axes=([ax], [1])), -1, ax)
+    return out
+
+
+def _mirror(coeffs, grid):
+    """coeffs(-k) in fft layout."""
+    out = coeffs
+    for ax in range(-grid.dim, 0):
+        out = np.take(out, (-np.arange(grid.n)) % grid.n, axis=ax)
+    return out
+
+
+PADDED_CASES = [
+    (dim, mode, degree)
+    for dim in (2, 3)
+    for mode in ("none", "two_thirds", "exact")
+    for degree in (None, 2, 3, 4)
+]
+
+
+@pytest.mark.parametrize("dim,mode,degree", PADDED_CASES)
+def test_to_padded_matches_dense_interpolant(dim, mode, degree):
+    grid = GridSpec(dim, 8 if dim == 2 else 6, mode)
+    m = padded_size(grid, degree)
+    rng = np.random.default_rng(dim * 100 + m + (degree or 0))
+    for lead in ((3,), (3, 3)):
+        # coefficients of white noise carry Nyquist content on every axis
+        coeffs = fftn_norm(rng.standard_normal(lead + grid.shape), dim)
+        want = _dense_interpolant(coeffs, grid.n, m, dim)
+        got = to_padded(coeffs, grid, degree)
+        assert got.shape == lead + (m,) * dim
+        assert np.max(np.abs(want.imag)) < 1e-13
+        assert np.max(np.abs(got - want.real)) < 1e-13
+
+
+@pytest.mark.parametrize("dim,mode,degree", PADDED_CASES)
+def test_padded_round_trip_is_band_limit(dim, mode, degree):
+    grid = GridSpec(dim, 8 if dim == 2 else 6, mode)
+    rng = np.random.default_rng(dim + (degree or 0))
+    coeffs = fftn_norm(rng.standard_normal((3, 3) + grid.shape), dim)
+    back = from_padded(to_padded(coeffs, grid, degree), grid)
+    assert np.max(np.abs(back - band_limit_hat(coeffs, grid))) < 1e-13
+
+
+@pytest.mark.parametrize("dim,mode", [(d, m) for d in (2, 3) for m in ("none", "two_thirds", "exact")])
+def test_from_padded_is_exactly_hermitian(dim, mode):
+    grid = GridSpec(dim, 8 if dim == 2 else 6, mode)
+    rng = np.random.default_rng(dim)
+    samples = rng.standard_normal((3,) + (grid.padded_n,) * dim)
+    coeffs = from_padded(samples, grid)
+    assert np.array_equal(_mirror(coeffs, grid), np.conj(coeffs))
+    assert np.all(coeffs[..., nyquist_mask(grid)] == 0.0)

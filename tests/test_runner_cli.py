@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from nemflow import runner
 from nemflow.cli import main as cli_main
 from nemflow.config import parse_config
-from nemflow.runner import CSV_HEADER, run_simulation
+from nemflow.diagnostics import InequalityCheck
+from nemflow.runner import CSV_HEADER, EXIT_ENERGY, run_simulation
 from nemflow.snapshots import (
     SnapshotFormatError,
     read_header,
@@ -165,6 +167,22 @@ def test_solver_failure_keeps_partial_outputs(tmp_path):
     assert report.failure is not None
     lines = report.trace_path.read_text().splitlines()
     assert lines[0] == CSV_HEADER  # partial outputs survive the failure
+
+
+def test_energy_violation_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(
+        runner, "check_energy_inequality",
+        lambda ledger, budget=None: InequalityCheck(False, -1.0, 0.0),
+    )
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(_config_text(tmp_path))
+    report = run_simulation(parse_config(cfg_path.read_text()))
+    assert report.status == EXIT_ENERGY == 5
+    assert not report.energy_checks_passed
+    assert report.steps == 3
+    assert len(report.trace_path.read_text().splitlines()) == 4  # outputs kept
+    assert cli_main(["run", str(cfg_path)]) == 5
+    assert "energy_checks=FAIL" in capsys.readouterr().out
 
 
 def test_cli_check_and_run(tmp_path, capsys):
