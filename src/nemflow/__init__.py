@@ -7,7 +7,7 @@ each term of that balance so runs certify themselves.
 """
 
 from .config import ConfigError, RunConfig, load_config, parse_config
-from .coupling import director_transport, elastic_force, extra_velocity
+from .coupling import director_transport, extra_velocity
 from .diagnostics import (
     EnergyLedger,
     build_ledger,
@@ -20,20 +20,9 @@ from .energetics import (
     EnergyBreakdown,
     ModelParams,
     chemical_potential,
-    dissipation_rate,
-    double_well,
-    f_split,
     total_energy,
 )
-from .fields import (
-    GridSpec,
-    NonFiniteError,
-    SpectralField,
-    TensorField,
-    VectorField,
-    forward_transform,
-    inverse_transform,
-)
+from .fields import GridSpec, NonFiniteError, TensorField, VectorField
 from .initial import initial_condition
 from .operators import (
     divergence,
@@ -51,7 +40,6 @@ from .stepper import (
     StepResult,
     StepState,
     implicit_step,
-    picard_sweep,
     residual_fully_implicit,
 )
 
@@ -68,7 +56,6 @@ __all__ = [
     "PicardDivergenceError",
     "RunConfig",
     "RunReport",
-    "SpectralField",
     "StepResult",
     "StepState",
     "TensorField",
@@ -78,24 +65,17 @@ __all__ = [
     "chemical_potential",
     "director_length_stats",
     "director_transport",
-    "dissipation_rate",
     "divergence",
-    "double_well",
-    "elastic_force",
     "extra_velocity",
-    "f_split",
-    "forward_transform",
     "gradient",
     "h2_diagnostic",
     "implicit_step",
     "initial_condition",
-    "inverse_transform",
     "laplacian",
     "leray_project",
     "load_config",
     "multiply_dealiased",
     "parse_config",
-    "picard_sweep",
     "read_snapshot",
     "residual_fully_implicit",
     "run_simulation",

@@ -7,8 +7,8 @@ keys are hard errors so typos cannot silently fall back to defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 from .energetics import ModelParams
@@ -36,6 +36,8 @@ class InitialConditionSpec:
     def __post_init__(self):
         if self.kind not in IC_KINDS:
             raise ConfigError(f"ic.kind must be one of {IC_KINDS}, got {self.kind!r}")
+        if self.seed < 0:
+            raise ConfigError(f"ic.seed >= 0 required, got {self.seed}")
         if self.amplitude < 0:
             raise ConfigError("ic.amplitude >= 0 required")
 
@@ -67,13 +69,14 @@ class RunConfig:
         tau_min = self.picard.tau_min
         if tau_min is not None and tau_min > self.params.tau:
             raise ConfigError("picard.tau_min must satisfy 0 < tau_min <= tau")
+        if self.ic.kind == "defect_pair" and self.grid.dim != 2:
+            raise ConfigError("ic.kind = defect_pair requires dim = 2")
 
 
 _KEYS = {
     "dim": int,
     "n": int,
     "dealias": str,
-    "padding_factor": Fraction,
     "rho": float,
     "eta": float,
     "alpha": float,
@@ -108,11 +111,12 @@ def _parse_value(key: str, raw: str, line: int):
             if low in ("false", "no", "0", "off"):
                 return False
             raise ValueError(raw)
-        if kind is Fraction:
-            return Fraction(raw)
-        return kind(raw)
-    except (ValueError, ZeroDivisionError):
+        value = kind(raw)
+    except ValueError:
         raise ConfigError(f"cannot parse {key} value {raw!r} as {kind.__name__}", line)
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {raw!r}", line)
+    return value
 
 
 def parse_config(text: str) -> RunConfig:
@@ -148,7 +152,6 @@ def parse_config(text: str) -> RunConfig:
             dim=values["dim"],
             n=values["n"],
             dealias=values.get("dealias", "two_thirds"),
-            padding_factor=values.get("padding_factor"),
         )
         params = ModelParams(
             rho=values.get("rho", 1.0),

@@ -108,10 +108,3 @@ def director_transport(
     )
     return VectorField(grid, ifftn_norm(t, grid.dim))
 
-
-def elastic_force(
-    mu: VectorField, d: VectorField, alpha: float, grid: GridSpec | None = None
-) -> VectorField:
-    """Elastic force on the fluid: the extra velocity itself, entering the
-    momentum right-hand side with a plus sign."""
-    return extra_velocity(mu, d, alpha, grid)

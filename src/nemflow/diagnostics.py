@@ -7,8 +7,7 @@ relaxation), and the numerical jump terms.  Their signed balance, the slack,
 certifies the energy inequality step by step.
 
 j_d is recorded with the exact 1/(2 gamma) factor produced by the quadratic
-concave part of the splitting; j_d_plain keeps the plain 1/2 normalisation
-for comparison (they differ by the factor 1/gamma).
+concave part of the splitting.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ class EnergyLedger:
     d_eps: float
     j_grad: float
     j_d: float
-    j_d_plain: float
     j_u: float
     slack: float
     picard_iters: int
@@ -115,9 +113,7 @@ def build_ledger(
 
     dd = d_hat - dp_hat
     j_grad = 0.5 * float(np.sum(laplace_symbol(grid) * np.abs(dd) ** 2))
-    dd_l2 = float(np.sum(np.abs(dd) ** 2))
-    j_d = dd_l2 / (2.0 * params.gamma)
-    j_d_plain = 0.5 * dd_l2
+    j_d = float(np.sum(np.abs(dd) ** 2)) / (2.0 * params.gamma)
     j_u = 0.5 * params.rho * float(np.sum(np.abs(u_hat - up_hat) ** 2))
 
     e_total = e_elastic + e_well + e_kinetic
@@ -140,7 +136,6 @@ def build_ledger(
         d_eps=d_eps,
         j_grad=j_grad,
         j_d=j_d,
-        j_d_plain=j_d_plain,
         j_u=j_u,
         slack=slack,
         picard_iters=picard_iters,

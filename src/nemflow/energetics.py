@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import GridSpec, VectorField, fftn_norm, ifftn_norm, laplace_symbol
-from .operators import band_limit_hat, from_padded, grad_hat, to_padded
+from .operators import band_limit_hat, from_padded, to_padded
 
 
 @dataclass(frozen=True)
@@ -60,26 +60,6 @@ class EnergyBreakdown:
     @staticmethod
     def of(elastic: float, well: float, kinetic: float) -> "EnergyBreakdown":
         return EnergyBreakdown(elastic, well, kinetic, elastic + well + kinetic)
-
-
-def double_well(d: VectorField, gamma: float) -> VectorField:
-    """Pointwise penalty density W(d) = (|d|^2 - 1)^2 / (4 gamma)."""
-    sq = np.sum(d.values * d.values, axis=0)
-    return VectorField(d.grid, ((sq - 1.0) ** 2 / (4.0 * gamma))[None])
-
-
-def f_split(d: VectorField, d_prev: VectorField, gamma: float) -> tuple[VectorField, VectorField]:
-    """Pointwise convex/concave variations: f_plus(d) and f_minus(d_prev).
-
-    f_plus(d) = |d|^2 d / gamma, f_minus(d) = -d / gamma, so that
-    f_plus(d) + f_minus(d) recovers the unsplit f(d) = (|d|^2 - 1) d / gamma.
-    """
-    if d.grid != d_prev.grid:
-        raise ValueError("fields live on different grids")
-    sq = np.sum(d.values * d.values, axis=0)
-    f_plus = VectorField(d.grid, sq * d.values / gamma)
-    f_minus = VectorField(d.grid, -d_prev.values / gamma)
-    return f_plus, f_minus
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +129,3 @@ def total_energy(
         kinetic_energy_hat(u_hat, params.rho),
     )
 
-
-def dissipation_rate(u: VectorField, v: VectorField, params: ModelParams) -> float:
-    """Instantaneous dissipation 2 eta int |Du|^2 + int |u - v|^2."""
-    if u.grid != v.grid:
-        raise ValueError("fields live on different grids")
-    grid = u.grid
-    u_hat = fftn_norm(u.values, grid.dim)
-    g = grad_hat(u_hat, grid)
-    sym = 0.5 * (g + np.swapaxes(g, 0, 1))
-    visc = 2.0 * params.eta * float(np.sum(np.abs(sym) ** 2))
-    diff = fftn_norm(u.values - v.values, grid.dim)
-    return visc + float(np.sum(np.abs(diff) ** 2))

@@ -18,13 +18,11 @@ import numpy as np
 
 DEALIAS_MODES = ("none", "two_thirds", "exact")
 
-_DEFAULT_PADDING = {
+_PADDING = {
     "none": Fraction(1),
     "two_thirds": Fraction(3, 2),
     "exact": Fraction(3),
 }
-
-_ALLOWED_PADDING = (Fraction(1), Fraction(3, 2), Fraction(3))
 
 
 class NonFiniteError(ValueError):
@@ -36,14 +34,14 @@ class GridSpec:
     """Discretisation of the unit torus [0,1)^dim.
 
     n is the sample count per axis (even, >= 4, identical on every axis).
-    padding_factor sets the zero-padded grid used for dealiased products:
-    1 (no dealiasing), 3/2 (two-thirds rule), 3 (exact for quintic products).
+    The dealias mode fixes the zero-padded grid used for dealiased products:
+    n points for "none", 3n/2 for "two_thirds" (two-thirds rule), 3n for
+    "exact" (alias-free up to quintic products).
     """
 
     dim: int
     n: int
     dealias: str = "two_thirds"
-    padding_factor: Fraction | None = None
 
     def __post_init__(self):
         if self.dim not in (2, 3):
@@ -52,23 +50,10 @@ class GridSpec:
             raise ValueError(f"n must be even and >= 4, got {self.n}")
         if self.dealias not in DEALIAS_MODES:
             raise ValueError(f"dealias must be one of {DEALIAS_MODES}, got {self.dealias!r}")
-        pad = self.padding_factor
-        if pad is None:
-            pad = _DEFAULT_PADDING[self.dealias]
-        else:
-            pad = Fraction(pad)
-        if pad not in _ALLOWED_PADDING:
-            raise ValueError("padding_factor must be one of 1, 3/2, 3")
-        if pad < _DEFAULT_PADDING[self.dealias]:
-            raise ValueError(
-                f"padding_factor {pad} insufficient for dealias mode {self.dealias!r}"
-            )
-        object.__setattr__(self, "padding_factor", pad)
 
     @property
     def padded_n(self) -> int:
-        m = self.n * self.padding_factor
-        return int(m)
+        return int(self.n * _PADDING[self.dealias])
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -182,31 +167,6 @@ class TensorField:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Fourier coefficients of a real field, numpy fft layout per axis.
-
-    Coefficients are normalised amplitudes: coeffs[..., 0, 0] is the mean.
-    Conjugate symmetry is implied by construction from real samples and is not
-    re-checked here; inverse_transform takes the real part.
-    """
-
-    grid: GridSpec
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.ndim != 1 + self.grid.dim or c.shape[-self.grid.dim:] != self.grid.shape:
-            raise ValueError(f"SpectralField shape {c.shape} does not match grid {self.grid.shape}")
-        if not np.all(np.isfinite(c)):
-            raise NonFiniteError("SpectralField contains non-finite coefficients")
-        object.__setattr__(self, "coeffs", _freeze(c))
-
-    @property
-    def components(self) -> int:
-        return self.coeffs.shape[0]
-
-
 def fftn_norm(values: np.ndarray, dim: int) -> np.ndarray:
     """Forward transform over the trailing dim axes, k=0 coefficient = mean."""
     axes = tuple(range(-dim, 0))
@@ -223,15 +183,6 @@ def ifftn_norm(coeffs: np.ndarray, dim: int) -> np.ndarray:
     for ax in axes:
         npts *= coeffs.shape[ax]
     return np.fft.ifftn(coeffs * npts, axes=axes).real
-
-
-def forward_transform(f: VectorField) -> SpectralField:
-    """Discrete Fourier coefficients of a sampled field (k=0 slot = mean)."""
-    return SpectralField(f.grid, fftn_norm(f.values, f.grid.dim))
-
-
-def inverse_transform(F: SpectralField) -> VectorField:
-    return VectorField(F.grid, ifftn_norm(F.coeffs, F.grid.dim))
 
 
 def l2_inner(f: VectorField, g: VectorField) -> float:

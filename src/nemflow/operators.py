@@ -2,11 +2,12 @@
 
 All differentiation happens in coefficient space on the trigonometric
 interpolant, so gradients, divergences and Laplacians are exact for resolved
-modes.  Nonlinear terms are evaluated pointwise on a zero-padded grid of size
-padding_factor * n and truncated back, which makes the truncated product equal
-to the exact L2 (Galerkin) projection of the true product whenever the padding
-covers the polynomial degree.  Padded samples are real, so padding and
-truncation go through numpy's real-to-complex transforms on half spectra.
+modes.  Nonlinear terms are evaluated pointwise on a zero-padded grid, whose
+size follows from the dealias mode (grid.padded_n), and truncated back, which
+makes the truncated product equal to the exact L2 (Galerkin) projection of the
+true product whenever the padding covers the polynomial degree.  Padded
+samples are real, so padding and truncation go through numpy's real-to-complex
+transforms on half spectra.
 
 Internal helpers operate on raw coefficient arrays with an arbitrary number of
 leading axes followed by grid.dim spatial axes; the typed wrappers work on
@@ -131,7 +132,7 @@ def _truncate_map(n: int, m: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.
 def padded_size(grid: GridSpec, degree: int | None = None) -> int:
     """Padded grid size for a product of the given degree.
 
-    Outside "exact" mode the policy size padding_factor * n is always used.
+    Outside "exact" mode the policy size grid.padded_n is always used.
     In exact mode any grid at or above the alias-free bound yields the
     identical Galerkin projection, so the smallest convenient size is chosen;
     degree None falls back to the full policy size.
@@ -232,25 +233,13 @@ def leray_project(w: VectorField) -> VectorField:
     return VectorField(w.grid, ifftn_norm(leray_hat(coeffs, w.grid), w.grid.dim))
 
 
-def _exactness_degree(grid: GridSpec) -> int:
-    """Largest product degree whose Galerkin projection is alias-free.
-
-    Inputs are band-limited to |k| <= n/2 - 1; a degree-p product computed on
-    the padded grid M is exact iff M >= p*(n/2 - 1) + n/2.
-    """
-    n, m = grid.n, grid.padded_n
-    if n // 2 - 1 <= 0:
-        return 99
-    return (m - n // 2) // (n // 2 - 1)
-
-
 def multiply_dealiased(factors: Sequence[VectorField], grid: GridSpec | None = None) -> VectorField:
     """Componentwise product of 2-5 fields, dealiased per the grid policy.
 
     One-component factors broadcast against many-component factors.  In
     "exact" mode the result is the true L2 projection of the product onto the
-    retained trigonometric space; a padding_factor too small for the factor
-    count is a configuration error.
+    retained trigonometric space (the 3n padded grid is alias-free up to
+    degree 5).
     """
     if not 2 <= len(factors) <= 5:
         raise ValueError("multiply_dealiased takes 2 to 5 factors")
@@ -261,11 +250,6 @@ def multiply_dealiased(factors: Sequence[VectorField], grid: GridSpec | None = N
         raise ValueError("factors live on different grids")
     if len(comps - {1}) > 1:
         raise ValueError("factor component counts must match or be 1")
-    if grid.dealias == "exact" and _exactness_degree(grid) < len(factors):
-        raise ValueError(
-            f"padding_factor {grid.padding_factor} insufficient for an exact "
-            f"degree-{len(factors)} product"
-        )
     prod = None
     for f in factors:
         p = to_padded(fftn_norm(f.values, grid.dim), grid)

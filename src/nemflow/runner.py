@@ -118,7 +118,8 @@ def run_simulation(cfg: RunConfig) -> RunReport:
             trace_path.parent.mkdir(parents=True, exist_ok=True)
         if cfg.output.snapshot_every > 0:
             snap_dir.mkdir(parents=True, exist_ok=True)
-        with open(trace_path, "w", encoding="utf-8", newline="\n") as trace:
+        # line buffered: every row reaches the file as soon as it is written
+        with open(trace_path, "w", encoding="utf-8", newline="\n", buffering=1) as trace:
             trace.write(CSV_HEADER + "\n")
             while state.time < cfg.t_end - 1e-9 * cfg.params.tau:
                 guess = _extrapolated_guess(state, prev_state)

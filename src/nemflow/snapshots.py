@@ -14,9 +14,11 @@ The writer and reader round-trip byte for byte.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -36,7 +38,11 @@ class SnapshotHeader:
 
 def write_snapshot(path: str | Path, shape: tuple[int, ...],
                    fields: dict[str, np.ndarray]) -> None:
-    """Write named sample arrays of shape (components, *shape)."""
+    """Write named sample arrays of shape (components, *shape).
+
+    The bytes go to a temporary file beside path that is then renamed into
+    place, so an interrupted writer never leaves a partial snapshot at path.
+    """
     dim = len(shape)
     chunks = [MAGIC, struct.pack("<I", dim)]
     chunks.extend(struct.pack("<I", n) for n in shape)
@@ -50,27 +56,31 @@ def write_snapshot(path: str | Path, shape: tuple[int, ...],
         if values.shape[1:] != shape:
             raise ValueError(f"field {name!r} shape {values.shape} does not match {shape}")
         chunks.append(np.ascontiguousarray(values, dtype="<f8").tobytes(order="C"))
-    Path(path).write_bytes(b"".join(chunks))
+    tmp = Path(f"{path}.tmp")
+    tmp.write_bytes(b"".join(chunks))
+    os.replace(tmp, path)
 
 
 class _Cursor:
-    def __init__(self, data: bytes):
-        self.data = data
+    """Sequential reader over an open snapshot file; never asks for bytes
+    past the end of the file."""
+
+    def __init__(self, stream: BinaryIO):
+        self.stream = stream
+        self.size = os.fstat(stream.fileno()).st_size
         self.pos = 0
 
     def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.data):
+        if self.pos + count > self.size:
             raise SnapshotFormatError("snapshot truncated")
-        out = self.data[self.pos:self.pos + count]
         self.pos += count
-        return out
+        return self.stream.read(count)
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
 
-def read_header(path: str | Path) -> SnapshotHeader:
-    cur = _Cursor(Path(path).read_bytes())
+def _parse_header(cur: _Cursor) -> SnapshotHeader:
     if cur.take(len(MAGIC)) != MAGIC:
         raise SnapshotFormatError("bad magic bytes; not a snapshot file")
     dim = cur.u32()
@@ -87,27 +97,21 @@ def read_header(path: str | Path) -> SnapshotHeader:
     return SnapshotHeader(dim, shape, tuple(fields))
 
 
+def read_header(path: str | Path) -> SnapshotHeader:
+    """Parse the header only; no payload bytes are read."""
+    with open(path, "rb") as stream:
+        return _parse_header(_Cursor(stream))
+
+
 def read_snapshot(path: str | Path) -> tuple[SnapshotHeader, dict[str, np.ndarray]]:
-    data = Path(path).read_bytes()
-    cur = _Cursor(data)
-    if cur.take(len(MAGIC)) != MAGIC:
-        raise SnapshotFormatError("bad magic bytes; not a snapshot file")
-    dim = cur.u32()
-    if dim not in (2, 3):
-        raise SnapshotFormatError(f"unsupported dim {dim}")
-    shape = tuple(cur.u32() for _ in range(dim))
-    count = cur.u32()
-    header_fields = []
-    for _ in range(count):
-        name_len = cur.u32()
-        name = cur.take(name_len).decode("utf-8")
-        comps = cur.u32()
-        header_fields.append((name, comps))
-    npts = int(np.prod(shape))
-    fields = {}
-    for name, comps in header_fields:
-        raw = cur.take(8 * comps * npts)
-        fields[name] = np.frombuffer(raw, dtype="<f8").reshape(comps, *shape).copy()
-    if cur.pos != len(data):
-        raise SnapshotFormatError("trailing bytes after snapshot payload")
-    return SnapshotHeader(dim, shape, tuple(header_fields)), fields
+    with open(path, "rb") as stream:
+        cur = _Cursor(stream)
+        header = _parse_header(cur)
+        npts = int(np.prod(header.shape))
+        fields = {}
+        for name, comps in header.fields:
+            raw = cur.take(8 * comps * npts)
+            fields[name] = np.frombuffer(raw, dtype="<f8").reshape(comps, *header.shape).copy()
+        if cur.pos != cur.size:
+            raise SnapshotFormatError("trailing bytes after snapshot payload")
+    return header, fields

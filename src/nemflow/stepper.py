@@ -462,31 +462,6 @@ def implicit_step(
     return StepResult(state, mu, v_extra, ledger, iters, res, tau)
 
 
-def picard_sweep(
-    prev: StepState,
-    current_iterate: tuple[VectorField, VectorField],
-    params: ModelParams,
-    grid: GridSpec | None = None,
-    cfg: PicardConfig | None = None,
-) -> tuple[VectorField, VectorField]:
-    """One damped fixed-point sweep from the given iterate (d, u)."""
-    cfg = cfg or PicardConfig()
-    grid = grid or prev.grid
-    d_it, u_it = current_iterate
-    ws = _Workspace(grid, params, params.tau,
-                    fftn_norm(prev.d.values, grid.dim), fftn_norm(prev.u.values, grid.dim))
-    d_hat = fftn_norm(d_it.values, grid.dim)
-    u_hat = fftn_norm(u_it.values, grid.dim)
-    t = ws.terms(d_hat, u_hat)
-    r_d, r_u = ws.residual_fields(d_hat, u_hat, t)
-    x_new = ws.join(d_hat, u_hat) - cfg.damping * ws.precondition(r_d, r_u)
-    d_out, u_out = ws.split(x_new)
-    return (
-        VectorField(grid, ifftn_norm(d_out, grid.dim)),
-        VectorField(grid, ifftn_norm(u_out, grid.dim)),
-    )
-
-
 def residual_fully_implicit(
     prev: StepState,
     candidate: tuple[VectorField, VectorField, VectorField],

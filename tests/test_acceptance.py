@@ -21,7 +21,7 @@ from nemflow.diagnostics import (
 from nemflow.energetics import ModelParams, chemical_potential, total_energy
 from nemflow.fields import GridSpec, VectorField, l2_inner, l2_norm
 from nemflow.initial import initial_condition
-from nemflow.runner import run_simulation
+from nemflow.runner import _extrapolated_guess, run_simulation
 from nemflow.snapshots import read_snapshot, write_snapshot
 from nemflow.stepper import (
     PicardConfig,
@@ -57,15 +57,7 @@ def long_run() -> LongRun:
     prev_state = None
     start = time.perf_counter()
     for _ in range(200):
-        guess = None
-        if prev_state is not None:
-            from nemflow.fields import fftn_norm, ifftn_norm
-            from nemflow.operators import leray_hat
-
-            gd = VectorField(grid, 2.0 * state.d.values - prev_state.d.values)
-            gu = VectorField(grid, ifftn_norm(
-                leray_hat(fftn_norm(2.0 * state.u.values - prev_state.u.values, 2), grid), 2))
-            guess = StepState(gd, gu, state.time)
+        guess = _extrapolated_guess(state, prev_state)
         result = implicit_step(state, params, cfg, guess=guess)
         steps.append((state, result))
         prev_state = state

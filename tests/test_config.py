@@ -1,7 +1,6 @@
-from fractions import Fraction
-
 import pytest
 
+from nemflow.cli import main as cli_main
 from nemflow.config import ConfigError, parse_config
 
 MINIMAL = """
@@ -17,7 +16,7 @@ def test_minimal_config_defaults():
     assert cfg.grid.dim == 2
     assert cfg.grid.n == 16
     assert cfg.grid.dealias == "two_thirds"
-    assert cfg.grid.padding_factor == Fraction(3, 2)
+    assert cfg.grid.padded_n == 24
     assert cfg.params.alpha == 0.5
     assert cfg.params.rho == 1.0
     assert cfg.params.eta == 1.0
@@ -33,13 +32,13 @@ def test_alpha_out_of_range_names_invariant():
 
 def test_exact_mode_defaults_to_padding_three():
     cfg = parse_config(MINIMAL + "dealias = exact\n")
-    assert cfg.grid.padding_factor == Fraction(3)
     assert cfg.grid.padded_n == 48
 
 
-def test_exact_mode_with_insufficient_padding_rejected():
-    with pytest.raises(ConfigError, match="insufficient"):
-        parse_config(MINIMAL + "dealias = exact\npadding_factor = 3/2\n")
+def test_padding_factor_is_unknown_key():
+    """The padded grid follows from dealias alone."""
+    with pytest.raises(ConfigError, match="line 6.*unknown key 'padding_factor'"):
+        parse_config(MINIMAL + "padding_factor = 3\n")
 
 
 def test_unknown_key_is_hard_error_with_line():
@@ -90,6 +89,29 @@ def test_tau_min_above_tau_rejected():
         parse_config(MINIMAL + "picard.tau_min = 1.0\n")
 
 
-def test_fraction_padding_accepted():
-    cfg = parse_config(MINIMAL + "padding_factor = 3/2\n")
-    assert cfg.grid.padding_factor == Fraction(3, 2)
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_non_finite_float_rejected(raw):
+    with pytest.raises(ConfigError, match=f"line 6: ic.amplitude must be finite, got '{raw}'"):
+        parse_config(MINIMAL + f"ic.amplitude = {raw}\n")
+
+
+@pytest.mark.parametrize("dim,extra,key", [
+    (2, "ic.seed = -1", "ic.seed"),
+    (3, "ic.kind = defect_pair", "ic.kind"),
+])
+def test_unbuildable_initial_condition_is_config_error(tmp_path, capsys, dim, extra, key):
+    """Initial-condition inputs that cannot be built fail at parse time with
+    the key named, and the CLI maps them to exit 2 without running."""
+    trace = tmp_path / "trace.csv"
+    text = MINIMAL.replace("dim = 2", f"dim = {dim}") + f"{extra}\noutput.trace_path = {trace}\n"
+    with pytest.raises(ConfigError, match=key):
+        parse_config(text)
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text)
+    for command in ("check", "run"):
+        assert cli_main([command, str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert key in captured.err
+        assert "config ok" not in captured.out
+    assert not trace.exists()
+    parse_config(MINIMAL + "ic.seed = 0\nic.kind = defect_pair\n")  # the 2D boundary case is fine

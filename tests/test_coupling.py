@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nemflow.coupling import director_transport, elastic_force, extra_velocity
+from nemflow.coupling import director_transport, extra_velocity
 from nemflow.energetics import ModelParams, chemical_potential
 from nemflow.fields import GridSpec, VectorField, l2_inner
 from util import band_limited, perturbed_director, solenoidal
@@ -113,14 +113,6 @@ def test_director_transport_matches_dense_oracle(grid):
     ct = oracle._fine_project(grid, t_f)
     want = (ct @ oracle._synthesis(modes, oracle._points(8, 2)).T).real
     assert np.max(np.abs(got.values.reshape(2, -1) - want)) < 1e-12
-
-
-def test_elastic_force_equals_extra_velocity(grid):
-    mu = band_limited(grid, 2, seed=80)
-    d = band_limited(grid, 2, seed=81)
-    v = extra_velocity(mu, d, 0.3)
-    f = elastic_force(mu, d, 0.3)
-    assert np.array_equal(v.values, f.values)
 
 
 def test_weak_strong_duality(grid):

@@ -47,7 +47,8 @@ def test_ledger_bookkeeping_identity():
     assert abs(recon - led.slack) < 1e-14 * (1.0 + abs(led.prev_total))
     for name in ("d_visc", "d_friction", "d_eps", "j_grad", "j_d", "j_u"):
         assert getattr(led, name) >= 0.0
-    assert led.j_d == pytest.approx(led.j_d_plain / params.gamma, rel=1e-12)
+    dd_hat = fftn_norm(result.state.d.values - prev.d.values, grid.dim)
+    assert led.j_d == pytest.approx(np.sum(np.abs(dd_hat) ** 2) / (2.0 * params.gamma), rel=1e-12)
 
 
 def test_decaying_flow_ledger():

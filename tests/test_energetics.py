@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+from nemflow.diagnostics import build_ledger
 from nemflow.energetics import (
     ModelParams,
     chemical_potential,
-    dissipation_rate,
-    double_well,
-    f_split,
+    chemical_potential_hat,
+    f_plus_hat,
     total_energy,
+    well_integral_hat,
 )
-from nemflow.fields import GridSpec, VectorField, l2_inner
+from nemflow.fields import GridSpec, VectorField, fftn_norm, l2_inner
+from nemflow.operators import sym_skew_gradient
+from nemflow.stepper import StepState
 from util import band_limited, perturbed_director, solenoidal
 
 
@@ -32,41 +35,42 @@ def grid():
 
 
 def test_double_well_examples(grid):
+    """Integral of W(d) = (|d|^2 - 1)^2 / (4 gamma) for constant directors."""
+    def well(values, gamma):
+        return well_integral_hat(fftn_norm(values, grid.dim), grid, gamma)
+
     unit = np.zeros((2, 8, 8))
     unit[0] = 1.0
-    assert np.max(np.abs(double_well(VectorField(grid, unit), 0.5).values)) < 1e-15
-
-    zero = VectorField.zeros(grid, 2)
-    w = double_well(zero, 1.0)
-    assert np.max(np.abs(w.values - 0.25)) < 1e-15
-
-    two = np.zeros((2, 8, 8))
-    two[0] = 2.0
-    w2 = double_well(VectorField(grid, two), 0.5)
-    assert np.max(np.abs(w2.values - 4.5)) < 1e-14
+    assert abs(well(unit, 0.5)) < 1e-15
+    assert well(np.zeros((2, 8, 8)), 1.0) == pytest.approx(0.25, abs=1e-15)
+    assert well(2.0 * unit, 0.5) == pytest.approx(4.5, abs=1e-14)
 
 
 def test_f_split_examples(grid):
+    """f_plus(d) + f_minus(d) vanishes on unit directors; f_plus(0) = 0 and
+    f_minus(d_prev) = -d_prev / gamma enters the chemical potential."""
     unit = np.zeros((2, 8, 8))
     unit[0] = 1.0
-    d = VectorField(grid, unit)
-    fp, fm = f_split(d, d, gamma=0.7)
-    assert np.max(np.abs(fp.values + fm.values)) < 1e-14
+    unit_hat = fftn_norm(unit, grid.dim)
+    assert np.max(np.abs(f_plus_hat(unit_hat, grid, 0.7) - unit_hat / 0.7)) < 1e-14
 
-    zero = VectorField.zeros(grid, 2)
-    one = VectorField(grid, unit)
-    fp0, fm1 = f_split(zero, one, gamma=1.0)
-    assert np.max(np.abs(fp0.values)) == 0.0
-    assert np.max(np.abs(fm1.values + unit)) < 1e-15
+    zero_hat = np.zeros_like(unit_hat)
+    assert np.max(np.abs(f_plus_hat(zero_hat, grid, 1.0))) == 0.0
+    mu = chemical_potential_hat(zero_hat, unit_hat, grid, 1.0)
+    assert np.max(np.abs(mu + unit_hat)) < 1e-15
 
 
-def test_f_split_sum_matches_unsplit_formula(grid):
-    d = band_limited(grid, 2, seed=3)
+def test_f_split_sum_matches_unsplit_formula():
+    """f_plus(d) - d / gamma is the projection of (|d|^2 - 1) d / gamma; on a
+    grid that resolves the cubic, that is the transform of its samples."""
+    grid = GridSpec(2, 16, "exact")
+    d = band_limited(grid, 2, seed=3, kcut=2)
     gamma = 0.3
-    fp, fm = f_split(d, d, gamma)
+    d_hat = fftn_norm(d.values, grid.dim)
+    split = f_plus_hat(d_hat, grid, gamma) - d_hat / gamma
     sq = np.sum(d.values * d.values, axis=0)
-    unsplit = (sq - 1.0) * d.values / gamma
-    assert np.max(np.abs(fp.values + fm.values - unsplit)) < 1e-14
+    unsplit = fftn_norm((sq - 1.0) * d.values / gamma, grid.dim)
+    assert np.max(np.abs(split - unsplit)) < 1e-14
 
 
 def test_chemical_potential_uniform_states(grid):
@@ -139,28 +143,35 @@ def test_energy_parts_nonnegative(grid):
 
 
 def test_dissipation_rate_examples(grid):
-    params = ModelParams(eta=0.7)
+    """The ledger's dissipation channels (tau times the rate) on constant
+    fields: none at rest, tau |v|^2 of friction for a uniform extra velocity."""
+    params = ModelParams(eta=0.7, tau=1e-3)
     zero = VectorField.zeros(grid, 2)
-    assert dissipation_rate(zero, zero, params) == 0.0
+    rest = StepState(zero, zero)
+    led = build_ledger(rest, zero, zero, zero, zero, params)
+    assert led.d_visc == 0.0 and led.d_friction == 0.0
 
     c = np.zeros((2, 8, 8))
     c[0], c[1] = 0.3, -0.4
-    v = VectorField(grid, c)
-    assert dissipation_rate(zero, v, params) == pytest.approx(0.25, abs=1e-14)
+    led = build_ledger(rest, zero, zero, zero, VectorField(grid, c), params)
+    assert led.d_visc == 0.0
+    assert led.d_friction == pytest.approx(0.25 * params.tau, abs=1e-17)
 
 
 def test_dissipation_rate_matches_quadrature(grid):
-    params = ModelParams(eta=1.3)
+    """Ledger channels 2 eta tau int |Du|^2 and tau int |v|^2 against sample
+    quadrature of the strain rate and the extra velocity."""
+    params = ModelParams(eta=1.3, tau=1e-3)
     u = solenoidal(grid, seed=11)
     v = band_limited(grid, 2, seed=12)
-    got = dissipation_rate(u, v, params)
-
-    from nemflow.operators import sym_skew_gradient
+    zero = VectorField.zeros(grid, 2)
+    led = build_ledger(StepState(zero, zero), zero, u, zero, v, params)
 
     du, _ = sym_skew_gradient(u)
     visc = 2.0 * params.eta * float(np.mean(np.sum(du.values**2, axis=(0, 1))))
-    fric = float(np.mean(np.sum((u.values - v.values) ** 2, axis=0)))
-    assert got == pytest.approx(visc + fric, rel=1e-12)
+    fric = float(np.mean(np.sum(v.values**2, axis=0)))
+    assert led.d_visc == pytest.approx(params.tau * visc, rel=1e-12)
+    assert led.d_friction == pytest.approx(params.tau * fric, rel=1e-12)
 
 
 def test_convexity_inequality_for_f_plus(grid):

@@ -5,8 +5,8 @@ from nemflow.fields import (
     GridSpec,
     NonFiniteError,
     VectorField,
-    forward_transform,
-    inverse_transform,
+    fftn_norm,
+    ifftn_norm,
     l2_inner,
 )
 from util import band_limited
@@ -20,10 +20,8 @@ def test_grid_validation():
         GridSpec(2, 2)
     with pytest.raises(ValueError, match="dim"):
         GridSpec(4, 8)
-    with pytest.raises(ValueError, match="padding_factor"):
-        GridSpec(2, 8, "none", padding_factor=2)
-    with pytest.raises(ValueError, match="insufficient"):
-        GridSpec(2, 8, "exact", padding_factor=1)
+    with pytest.raises(ValueError, match="dealias"):
+        GridSpec(2, 8, "three_halves")
 
 
 def test_padded_sizes_per_mode():
@@ -43,7 +41,7 @@ def test_vector_field_validation():
 def test_constant_field_transforms_to_mean():
     grid = GridSpec(2, 8)
     f = VectorField(grid, np.full((1, 8, 8), 3.25))
-    coeffs = forward_transform(f).coeffs
+    coeffs = fftn_norm(f.values, grid.dim)
     assert coeffs[0, 0, 0] == pytest.approx(3.25, abs=1e-14)
     coeffs_rest = coeffs.copy()
     coeffs_rest[0, 0, 0] = 0.0
@@ -54,7 +52,7 @@ def test_cosine_mode_coefficients():
     grid = GridSpec(2, 8)
     x = grid.meshgrid()
     f = VectorField(grid, np.cos(2 * np.pi * x[0])[None])
-    coeffs = forward_transform(f).coeffs
+    coeffs = fftn_norm(f.values, grid.dim)
     assert coeffs[0, 1, 0] == pytest.approx(0.5, abs=1e-14)
     assert coeffs[0, -1, 0] == pytest.approx(0.5, abs=1e-14)
     zeroed = coeffs.copy()
@@ -68,9 +66,9 @@ def test_roundtrip_matches_direct_dft_sum():
     grid = GridSpec(2, 8)
     rng = np.random.default_rng(42)
     f = VectorField(grid, rng.normal(size=(2, 8, 8)))
-    transformed = forward_transform(f)
-    back = inverse_transform(transformed)
-    assert np.max(np.abs(back.values - f.values)) < 1e-12 * np.max(np.abs(f.values))
+    coeffs = fftn_norm(f.values, grid.dim)
+    back = ifftn_norm(coeffs, grid.dim)
+    assert np.max(np.abs(back - f.values)) < 1e-12 * np.max(np.abs(f.values))
 
     k = np.fft.fftfreq(8, 1 / 8).astype(int)
     x = np.arange(8) / 8.0
@@ -80,14 +78,14 @@ def test_roundtrip_matches_direct_dft_sum():
             direct = np.sum(f.values[0] * phase) / 64
             i = list(k).index(ki)
             j = list(k).index(kj)
-            assert transformed.coeffs[0, i, j] == pytest.approx(direct, abs=1e-13)
+            assert coeffs[0, i, j] == pytest.approx(direct, abs=1e-13)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 8), (3, 8)])
 def test_parseval(dim, n):
     grid = GridSpec(dim, n)
     f = band_limited(grid, 2, seed=5)
-    spectral = float(np.sum(np.abs(forward_transform(f).coeffs) ** 2))
+    spectral = float(np.sum(np.abs(fftn_norm(f.values, dim)) ** 2))
     real = l2_inner(f, f)
     assert real == pytest.approx(spectral, rel=1e-12)
 

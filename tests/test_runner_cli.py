@@ -1,7 +1,11 @@
+import os
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from nemflow import runner
+from nemflow import runner, snapshots
 from nemflow.cli import main as cli_main
 from nemflow.config import parse_config
 from nemflow.diagnostics import InequalityCheck
@@ -118,6 +122,60 @@ def test_snapshot_format_errors(tmp_path):
     trunc.write_bytes(b"NEMF1\n\x02\x00\x00\x00")
     with pytest.raises(SnapshotFormatError, match="truncated"):
         read_header(trunc)
+
+
+def test_read_header_reads_no_payload(tmp_path):
+    path = tmp_path / "s.nemf"
+    write_snapshot(path, (8, 8), {"d": np.zeros((2, 8, 8))})
+    data = path.read_bytes()
+    path.write_bytes(data[:-8])  # payload cut short, header intact
+    assert read_header(path).fields == (("d", 2),)
+    with pytest.raises(SnapshotFormatError, match="truncated"):
+        read_snapshot(path)
+    path.write_bytes(data + b"\0")
+    with pytest.raises(SnapshotFormatError, match="trailing"):
+        read_snapshot(path)
+
+
+def test_outputs_are_durable_while_running(tmp_path, monkeypatch):
+    """Trace rows are on disk as soon as their step is accepted, and snapshot
+    writes leave no temporary file behind."""
+    cfg = parse_config(_config_text(tmp_path, **{"output.snapshot_every": 1}))
+    trace_path = Path(cfg.output.trace_path)
+    on_disk = []  # trace contents at the start of each step
+    real_step = runner.implicit_step
+
+    def spy(*args, **kwargs):
+        on_disk.append(trace_path.read_text().splitlines())
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "implicit_step", spy)
+    report = run_simulation(cfg)
+    assert report.status == 0
+    final = report.trace_path.read_text().splitlines()
+    assert final[0] == CSV_HEADER
+    assert on_disk == [final[:1], final[:2], final[:3]]  # step 3 sees header + rows 1-2
+    names = sorted(p.name for p in (tmp_path / "snaps").iterdir())
+    assert names == ["snap_000001.nemf", "snap_000002.nemf", "snap_000003.nemf"]
+
+
+def test_snapshot_is_moved_into_place(tmp_path, monkeypatch):
+    """The snapshot is written under a temporary name in the same directory
+    that snapshot listings do not match, then renamed over the target."""
+    renames = []
+    real_replace = os.replace
+
+    def spy(src, dst):
+        renames.append((Path(src), Path(src).read_bytes(), Path(dst).exists()))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(snapshots.os, "replace", spy)
+    path = tmp_path / "snap_000001.nemf"
+    write_snapshot(path, (8, 8), {"d": np.ones((2, 8, 8))})
+    [(tmp, payload, existed)] = renames
+    assert tmp.parent == tmp_path and re.match(r"snap_\d+\.nemf$", tmp.name) is None
+    assert payload == path.read_bytes() and not existed
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_two_thirds_mode_run(tmp_path):
