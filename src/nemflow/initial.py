@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import GridSpec, VectorField, fftn_norm, ifftn_norm, integer_modes
-from .operators import leray_hat
+from .operators import band_limit_hat, leray_hat
 from .stepper import StepState
 
 _PERTURBATION_KCUT = 2
@@ -27,9 +27,14 @@ _DEFECT_CORE_RADIUS = 0.08
 
 def _band_limited_noise(rng: np.random.Generator, grid: GridSpec, components: int,
                         kcut: int) -> np.ndarray:
-    """Random smooth field: white noise restricted to modes |k_j| <= kcut."""
+    """Random smooth field: white noise restricted to modes |k_j| <= kcut.
+
+    The cutoff is capped at n/2 - 1: the solver's retained space has no
+    Nyquist modes, so Nyquist content in a state could never be removed.
+    """
     raw = rng.normal(size=(components, *grid.shape))
     coeffs = fftn_norm(raw, grid.dim)
+    kcut = min(kcut, grid.n // 2 - 1)
     k = np.abs(integer_modes(grid.n))
     mask = np.ones(grid.shape, dtype=bool)
     for axis in range(grid.dim):
@@ -93,6 +98,8 @@ def initial_condition(kind: str, grid: GridSpec, seed: int, amplitude: float) ->
             theta += q * np.arctan2(dy, dx)
             envelope *= np.tanh(np.sqrt(dx * dx + dy * dy) / _DEFECT_CORE_RADIUS)
         d = np.stack([envelope * np.cos(theta), envelope * np.sin(theta)])
+        # sampled geometry: drop its Nyquist content, as _band_limited_noise does
+        d = ifftn_norm(band_limit_hat(fftn_norm(d, 2), grid), 2)
         u = np.zeros_like(d)
         if amplitude > 0.0:
             flow = _solenoidal_noise(rng, grid, _PERTURBATION_KCUT)

@@ -5,9 +5,13 @@ interpolant, so gradients, divergences and Laplacians are exact for resolved
 modes.  Nonlinear terms are evaluated pointwise on a zero-padded grid, whose
 size follows from the dealias mode (grid.padded_n), and truncated back, which
 makes the truncated product equal to the exact L2 (Galerkin) projection of the
-true product whenever the padding covers the polynomial degree.  Padded
-samples are real, so padding and truncation go through numpy's real-to-complex
-transforms on half spectra.
+true product whenever the padding covers the polynomial degree.  In "exact"
+mode each product gets the smallest alias-free grid for its degree
+(padded_size).  Padded samples are real, so padding and truncation are
+real-to-complex transforms on half spectra, pruned to the FFT lines that
+carry retained modes: each line that is run gets the same 1D transform, in
+the same axis order, as numpy's irfftn/rfftn, so the results are bit-for-bit
+those of the full transforms.
 
 Internal helpers operate on raw coefficient arrays with an arbitrary number of
 leading axes followed by grid.dim spatial axes; the typed wrappers work on
@@ -79,19 +83,14 @@ def max_mode_divergence(coeffs: np.ndarray, grid: GridSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# zero-padding machinery: padded spectra are real-to-complex half spectra,
-# shape (m, ..., m, m//2 + 1), reached through one cached flat-index map per
-# (n, m, dim) and direction
-
-
-def _half_shape(m: int, dim: int) -> tuple[int, ...]:
-    return (m,) * (dim - 1) + (m // 2 + 1,)
+# zero-padding machinery: pruned real-to-complex transforms, one cached
+# index map per (n, m, dim) for padding and per (n, dim) for truncation
 
 
 @lru_cache(maxsize=None)
-def _pad_map(n: int, m: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(src, dst, weight) embedding the n-grid spectrum into the m-grid half
-    spectrum: half[dst] = weight * coeffs[src].
+def _scatter_map(n: int, m: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(src, dst, weight) embedding the n-grid spectrum into the staging half
+    spectrum of shape (m, ..., m, n//2 + 1): staging[dst] = weight * coeffs[src].
 
     On a larger grid the unpaired Nyquist coefficient (slot -n/2) is split
     half-and-half onto the +n/2 and -n/2 slots, which reproduces the
@@ -106,15 +105,23 @@ def _pad_map(n: int, m: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     keep = img1[idx[-1]] % m <= m // 2
     idx = [i[keep] for i in idx]
     src = np.ravel_multi_index([src1[i] for i in idx], (n,) * dim)
-    dst = np.ravel_multi_index([img1[i] % m for i in idx], _half_shape(m, dim))
+    dst = np.ravel_multi_index([img1[i] % m for i in idx], (m,) * (dim - 1) + (n // 2 + 1,))
     weight = np.prod([w1[i] for i in idx], axis=0).astype(np.complex128)
     return _freeze(src), _freeze(dst), _freeze(weight)
 
 
 @lru_cache(maxsize=None)
-def _truncate_map(n: int, m: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(src, dst, flip) restricting the m-grid half spectrum to the retained
-    n-grid modes: coeffs[dst] = half[src], conjugated where flip.
+def _kept_rows(n: int, m: int) -> np.ndarray:
+    """Slots of the retained wavenumbers |k| < n/2 on an m-point axis, in the
+    compact order 0, ..., n/2 - 1, -n/2 + 1, ..., -1 (slot k % (n - 1))."""
+    return _freeze(integer_modes(n)[np.r_[0 : n // 2, n // 2 + 1 : n]] % m)
+
+
+@lru_cache(maxsize=None)
+def _gather_map(n: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(src, dst, flip) gathering the compact (n-1, ..., n-1, n/2) array of
+    retained modes into the n-grid spectrum: coeffs[dst] = compact[src],
+    conjugated where flip.
 
     A mode whose last non-zero wavenumber is negative is read as the
     conjugate of its mirror, so the result is exactly Hermitian.  Nyquist
@@ -125,7 +132,7 @@ def _truncate_map(n: int, m: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.
     k = k[:, dst]
     # |k_j| < n/2, so the sign of this key is the sign of the last non-zero k_j
     flip = (n ** np.arange(dim)) @ k < 0
-    src = np.ravel_multi_index(np.where(flip, -k, k) % m, _half_shape(m, dim))
+    src = np.ravel_multi_index(np.where(flip, -k, k) % (n - 1), (n - 1,) * (dim - 1) + (n // 2,))
     return _freeze(src), _freeze(dst), _freeze(flip)
 
 
@@ -148,21 +155,40 @@ def padded_size(grid: GridSpec, degree: int | None = None) -> int:
 
 
 def to_padded(coeffs: np.ndarray, grid: GridSpec, degree: int | None = None) -> np.ndarray:
-    """Real samples of the interpolant on the padded grid."""
-    m, dim = padded_size(grid, degree), grid.dim
-    src, dst, weight = _pad_map(grid.n, m, dim)
+    """Real samples of the interpolant on the padded grid.
+
+    The staging half spectrum holds only the n//2 + 1 columns that carry
+    modes; in 3D the axis -3 transform runs only on the rows of axis -2 that
+    carry modes, and the final irfft zero-fills the remaining columns.
+    """
+    n, dim = grid.n, grid.dim
+    m = padded_size(grid, degree)
+    src, dst, weight = _scatter_map(n, m, dim)
     lead = coeffs.shape[:-dim]
-    half = np.zeros(lead + _half_shape(m, dim), dtype=np.complex128)
+    half = np.zeros(lead + (m,) * (dim - 1) + (n // 2 + 1,), dtype=np.complex128)
     half.reshape(lead + (-1,))[..., dst] = coeffs.reshape(lead + (-1,))[..., src] * weight
-    return np.fft.irfftn(half, s=(m,) * dim, axes=tuple(range(-dim, 0)), norm="forward")
+    if dim == 3:
+        rows = (slice(None),) if m == n else (slice(0, n // 2 + 1), slice(m - n // 2, m))
+        for r in rows:
+            block = half[..., r, :]
+            np.fft.ifft(block, axis=-3, norm="forward", out=block)
+    np.fft.ifft(half, axis=-2, norm="forward", out=half)
+    return np.fft.irfft(half, m, axis=-1, norm="forward")
 
 
 def from_padded(values_padded: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Coefficients of the band-limited projection of padded-grid samples."""
-    dim = grid.dim
-    src, dst, flip = _truncate_map(grid.n, values_padded.shape[-1], dim)
+    """Coefficients of the band-limited projection of padded-grid samples.
+
+    Only the columns and rows of retained modes are carried from one axis
+    transform to the next.
+    """
+    n, dim = grid.n, grid.dim
+    rows = _kept_rows(n, values_padded.shape[-1])
+    half = np.fft.rfft(values_padded, axis=-1, norm="forward")[..., : n // 2]
+    for axis in range(-2, -dim - 1, -1):
+        half = np.fft.fft(half, axis=axis, norm="forward").take(rows, axis=axis)
+    src, dst, flip = _gather_map(n, dim)
     lead = values_padded.shape[:-dim]
-    half = np.fft.rfftn(values_padded, axes=tuple(range(-dim, 0)), norm="forward")
     vals = half.reshape(lead + (-1,))[..., src]
     np.conjugate(vals, out=vals, where=flip)
     out = np.zeros(lead + grid.shape, dtype=np.complex128)

@@ -90,8 +90,11 @@ def _parse_header(cur: _Cursor) -> SnapshotHeader:
     count = cur.u32()
     fields = []
     for _ in range(count):
-        name_len = cur.u32()
-        name = cur.take(name_len).decode("utf-8")
+        raw = cur.take(cur.u32())
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SnapshotFormatError(f"field name is not valid UTF-8: {exc}") from None
         comps = cur.u32()
         fields.append((name, comps))
     return SnapshotHeader(dim, shape, tuple(fields))

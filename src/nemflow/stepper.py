@@ -44,6 +44,7 @@ from .operators import (
     leray_hat,
     max_mode_divergence,
     padded_bundle,
+    padded_size,
     to_padded,
 )
 
@@ -160,6 +161,8 @@ class _Workspace:
         self.u_prev = u_prev_hat
         self.guess = guess
         self.lap = laplace_symbol(grid)
+        # the cubic well term can reuse the quadratic bundles' samples of d
+        self.cubic_on_bundle_grid = padded_size(grid, 3) == padded_size(grid, 2)
 
         dim = grid.dim
         eye = np.eye(dim)
@@ -201,10 +204,10 @@ class _Workspace:
 
     def terms(self, d_hat: np.ndarray, u_hat: np.ndarray) -> _Terms:
         p, grid = self.params, self.grid
-        d3_p = to_padded(d_hat, grid, degree=3)
+        d_b = padded_bundle(d_hat, grid)
+        d3_p = d_b[0] if self.cubic_on_bundle_grid else to_padded(d_hat, grid, degree=3)
         fp = from_padded(np.sum(d3_p * d3_p, axis=0) * d3_p / p.gamma, grid)
         mu = band_limit_hat(self.lap * d_hat + fp - self.d_prev / p.gamma, grid)
-        d_b = padded_bundle(d_hat, grid)
         mu_b = padded_bundle(mu, grid)
         u_b = padded_bundle(u_hat, grid)
         v = extra_velocity_hat(mu, d_hat, p.alpha, grid, mu_b=mu_b, d_b=d_b)
@@ -222,7 +225,8 @@ class _Workspace:
         underlying t.  All product operators are bilinear, so the derivative
         is a sum of the same operators with one argument replaced."""
         p, grid, tau = self.params, self.grid, self.tau
-        dd3_p = to_padded(delta_d, grid, degree=3)
+        dd_b = padded_bundle(delta_d, grid)
+        dd3_p = dd_b[0] if self.cubic_on_bundle_grid else to_padded(delta_d, grid, degree=3)
         d3_p = t.d3_p
         dfp = from_padded(
             (np.sum(d3_p * d3_p, axis=0) * dd3_p
@@ -230,7 +234,6 @@ class _Workspace:
             grid,
         )
         dmu = band_limit_hat(self.lap * delta_d + dfp, grid)
-        dd_b = padded_bundle(delta_d, grid)
         dmu_b = padded_bundle(dmu, grid)
         du_b = padded_bundle(delta_u, grid)
         dv = extra_velocity_hat(dmu, delta_d, p.alpha, grid, mu_b=dmu_b, d_b=t.d_b) \

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nemflow.diagnostics import director_length_stats, spectral_divergence_max
-from nemflow.fields import GridSpec, l2_norm
+from nemflow.fields import GridSpec, fftn_norm, l2_norm, nyquist_mask
 from nemflow.initial import initial_condition
 
 
@@ -72,3 +72,17 @@ def test_unknown_kind():
     grid = GridSpec(2, 8, "exact")
     with pytest.raises(ValueError, match="unknown"):
         initial_condition("spiral", grid, seed=0, amplitude=0.1)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("dim,kind", [
+    (2, "uniform_perturbed"), (2, "random_smooth"), (2, "defect_pair"),
+    (3, "uniform_perturbed"), (3, "random_smooth"),
+])
+def test_director_has_no_nyquist_content(dim, kind, n):
+    # the solver's retained space has no Nyquist modes, so it could never
+    # remove Nyquist content from the initial director
+    grid = GridSpec(dim, n, "exact")
+    state = initial_condition(kind, grid, seed=7, amplitude=0.2)
+    coeffs = fftn_norm(state.d.values, dim)
+    assert np.max(np.abs(coeffs[..., nyquist_mask(grid)])) < 1e-15 * np.max(np.abs(coeffs))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -260,3 +262,54 @@ def test_from_padded_is_exactly_hermitian(dim, mode):
     coeffs = from_padded(samples, grid)
     assert np.array_equal(_mirror(coeffs, grid), np.conj(coeffs))
     assert np.all(coeffs[..., nyquist_mask(grid)] == 0.0)
+
+
+def _full_pass_to_padded(coeffs, grid, m):
+    """Reference: irfftn of the whole padded half spectrum (m, ..., m, m//2 + 1),
+    the Nyquist coefficient split half-and-half onto slots +-n/2 when m > n."""
+    n, dim = grid.n, grid.dim
+    half = coeffs
+    for axis in range(-1, -dim - 1, -1):
+        c = np.moveaxis(half, axis, 0)
+        out = np.zeros((m // 2 + 1 if axis == -1 else m,) + c.shape[1:], dtype=np.complex128)
+        for j, k in enumerate(integer_modes(n)):
+            if abs(k) == n // 2 and m > n:
+                for slot in (n // 2, m - n // 2):
+                    if slot < out.shape[0]:
+                        out[slot] = 0.5 * c[j]
+            elif k % m < out.shape[0]:
+                out[k % m] = c[j]
+        half = np.moveaxis(out, 0, axis)
+    return np.fft.irfftn(half, s=(m,) * dim, axes=tuple(range(-dim, 0)), norm="forward")
+
+
+def _full_pass_from_padded(samples, grid):
+    """Reference: rfftn of the padded samples, then a gather of the retained
+    modes, reading a mode whose last non-zero wavenumber is negative as the
+    conjugate of its mirror."""
+    n, dim, m = grid.n, grid.dim, samples.shape[-1]
+    half = np.fft.rfftn(samples, axes=tuple(range(-dim, 0)), norm="forward")
+    out = np.zeros(samples.shape[:-dim] + grid.shape, dtype=np.complex128)
+    for k in itertools.product(range(-(n // 2) + 1, n // 2), repeat=dim):
+        nonzero = [kj for kj in k if kj != 0]
+        flip = bool(nonzero) and nonzero[-1] < 0
+        value = half[(Ellipsis,) + tuple((-kj if flip else kj) % m for kj in k)]
+        out[(Ellipsis,) + tuple(kj % n for kj in k)] = np.conj(value) if flip else value
+    return out
+
+
+@pytest.mark.parametrize("dim,mode,degree", PADDED_CASES)
+def test_pruned_transforms_equal_full_pass_bitwise(dim, mode, degree):
+    grid = GridSpec(dim, 8 if dim == 2 else 6, mode)
+    m = padded_size(grid, degree)
+    rng = np.random.default_rng(dim * 1000 + m + (degree or 0))
+    for lead in ((3,), (3, 3)):
+        coeffs = fftn_norm(rng.standard_normal(lead + grid.shape), dim)
+        kept = coeffs.copy()
+        assert np.array_equal(to_padded(coeffs, grid, degree), _full_pass_to_padded(coeffs, grid, m))
+        assert np.array_equal(coeffs, kept)
+
+        samples = rng.standard_normal(lead + (m,) * dim)
+        kept = samples.copy()
+        assert np.array_equal(from_padded(samples, grid), _full_pass_from_padded(samples, grid))
+        assert np.array_equal(samples, kept)

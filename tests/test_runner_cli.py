@@ -50,6 +50,16 @@ def test_three_steps_three_rows(tmp_path):
     assert lines[1].split(",")[0] == "1"
 
 
+@pytest.mark.parametrize("n,kind", [(4, "uniform_perturbed"), (6, "random_smooth")])
+def test_coarse_grid_first_step_runs(tmp_path, n, kind):
+    # initial Nyquist content used to stall the first step down to tau_min (exit 3)
+    text = _config_text(tmp_path, n=n, t_end=1e-3, **{"ic.kind": kind})
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    assert cli_main(["run", str(cfg_path)]) == 0
+    assert len((tmp_path / "trace.csv").read_text().splitlines()) >= 2
+
+
 def test_equilibrium_run(tmp_path):
     cfg = parse_config(_config_text(tmp_path, **{"ic.amplitude": 0.0}))
     report = run_simulation(cfg)
@@ -280,3 +290,11 @@ def test_cli_inspect(tmp_path, capsys):
     bad = tmp_path / "bad.nemf"
     bad.write_bytes(b"garbage")
     assert cli_main(["inspect", str(bad)]) == 4
+
+    # a field name that is not valid UTF-8 is a format error, not a crash
+    name = b"\x01\x00\x00\x00d"
+    assert path.read_bytes().count(name) == 1
+    bad.write_bytes(path.read_bytes().replace(name, b"\x01\x00\x00\x00\xff"))
+    assert cli_main(["inspect", str(bad)]) == 4
+    with pytest.raises(SnapshotFormatError, match="UTF-8"):
+        read_snapshot(bad)
