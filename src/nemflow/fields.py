@@ -106,18 +106,6 @@ def laplace_symbol(grid: GridSpec) -> np.ndarray:
     return _freeze(4.0 * np.pi**2 * np.sum(k * k, axis=0))
 
 
-@lru_cache(maxsize=None)
-def nyquist_mask(grid: GridSpec) -> np.ndarray:
-    """Boolean mask, True where any axis index sits on the Nyquist slot."""
-    idx = np.abs(integer_modes(grid.n))
-    mask = np.zeros(grid.shape, dtype=bool)
-    for axis in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[axis] = grid.n
-        mask |= idx.reshape(shape) == grid.n // 2
-    return _freeze(mask)
-
-
 def _validate_samples(grid: GridSpec, values: np.ndarray, rank: int, what: str) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != rank + grid.dim or values.shape[-grid.dim:] != grid.shape:

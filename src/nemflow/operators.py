@@ -11,7 +11,9 @@ mode each product gets the smallest alias-free grid for its degree
 real-to-complex transforms on half spectra, pruned to the FFT lines that
 carry retained modes: each line that is run gets the same 1D transform, in
 the same axis order, as numpy's irfftn/rfftn, so the results are bit-for-bit
-those of the full transforms.
+those of the full transforms.  Spectra move between the n-grid and the padded
+grid by a few slice copies per axis; the band limit and the Leray projection
+zero the Nyquist slots with one slice per axis.
 
 Internal helpers operate on raw coefficient arrays with an arbitrary number of
 leading axes followed by grid.dim spatial axes; the typed wrappers work on
@@ -20,6 +22,7 @@ VectorField/TensorField.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from typing import Sequence
 
@@ -32,9 +35,7 @@ from .fields import (
     _freeze,
     fftn_norm,
     ifftn_norm,
-    integer_modes,
     laplace_symbol,
-    nyquist_mask,
     wavevectors,
 )
 
@@ -52,11 +53,25 @@ def grad_hat(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     return _TWO_PI_I * k * np.expand_dims(coeffs, -grid.dim - 1)
 
 
+def _zero_nyquist(coeffs: np.ndarray, dim: int) -> np.ndarray:
+    """Zero the Nyquist slot of each of the trailing dim axes in place."""
+    n = coeffs.shape[-1]
+    for axis in range(dim):
+        coeffs[(Ellipsis, n // 2) + (slice(None),) * axis] = 0.0
+    return coeffs
+
+
 def band_limit_hat(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Project onto the retained space: zero every Nyquist slot."""
-    out = coeffs.copy()
-    out[..., nyquist_mask(grid)] = 0.0
-    return out
+    return _zero_nyquist(coeffs.copy(), grid.dim)
+
+
+@lru_cache(maxsize=None)
+def _k2_safe(grid: GridSpec) -> np.ndarray:
+    """|k|^2 per mode with the zeros replaced by 1, the divisor of leray_hat."""
+    k = wavevectors(grid)
+    k2 = np.sum(k * k, axis=0)
+    return _freeze(np.where(k2 == 0.0, 1.0, k2))
 
 
 def leray_hat(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -67,13 +82,10 @@ def leray_hat(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     mean), and Nyquist slots are zeroed with the rest of the band limit.
     """
     k = wavevectors(grid)
-    k2 = np.sum(k * k, axis=0)
-    k2safe = np.where(k2 == 0.0, 1.0, k2)
     kdotu = np.sum(k * coeffs, axis=0)
-    out = coeffs - k * (kdotu / k2safe)
+    out = coeffs - k * (kdotu / _k2_safe(grid))
     out[(slice(None),) + (0,) * grid.dim] = 0.0
-    out[..., nyquist_mask(grid)] = 0.0
-    return out
+    return _zero_nyquist(out, grid.dim)
 
 
 def max_mode_divergence(coeffs: np.ndarray, grid: GridSpec) -> float:
@@ -83,57 +95,8 @@ def max_mode_divergence(coeffs: np.ndarray, grid: GridSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# zero-padding machinery: pruned real-to-complex transforms, one cached
-# index map per (n, m, dim) for padding and per (n, dim) for truncation
-
-
-@lru_cache(maxsize=None)
-def _scatter_map(n: int, m: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(src, dst, weight) embedding the n-grid spectrum into the staging half
-    spectrum of shape (m, ..., m, n//2 + 1): staging[dst] = weight * coeffs[src].
-
-    On a larger grid the unpaired Nyquist coefficient (slot -n/2) is split
-    half-and-half onto the +n/2 and -n/2 slots, which reproduces the
-    symmetric real interpolant exactly; the half spectrum keeps only the
-    images with a non-negative last wavenumber.
-    """
-    src1, img1, w1 = np.arange(n), integer_modes(n), np.ones(n)
-    if m > n:
-        src1, img1 = np.append(src1, n // 2), np.append(img1, n // 2)
-        w1 = np.where(np.abs(img1) == n // 2, 0.5, 1.0)
-    idx = [i.ravel() for i in np.meshgrid(*([np.arange(src1.size)] * dim), indexing="ij")]
-    keep = img1[idx[-1]] % m <= m // 2
-    idx = [i[keep] for i in idx]
-    src = np.ravel_multi_index([src1[i] for i in idx], (n,) * dim)
-    dst = np.ravel_multi_index([img1[i] % m for i in idx], (m,) * (dim - 1) + (n // 2 + 1,))
-    weight = np.prod([w1[i] for i in idx], axis=0).astype(np.complex128)
-    return _freeze(src), _freeze(dst), _freeze(weight)
-
-
-@lru_cache(maxsize=None)
-def _kept_rows(n: int, m: int) -> np.ndarray:
-    """Slots of the retained wavenumbers |k| < n/2 on an m-point axis, in the
-    compact order 0, ..., n/2 - 1, -n/2 + 1, ..., -1 (slot k % (n - 1))."""
-    return _freeze(integer_modes(n)[np.r_[0 : n // 2, n // 2 + 1 : n]] % m)
-
-
-@lru_cache(maxsize=None)
-def _gather_map(n: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(src, dst, flip) gathering the compact (n-1, ..., n-1, n/2) array of
-    retained modes into the n-grid spectrum: coeffs[dst] = compact[src],
-    conjugated where flip.
-
-    A mode whose last non-zero wavenumber is negative is read as the
-    conjugate of its mirror, so the result is exactly Hermitian.  Nyquist
-    slots are not written (band-limited projection).
-    """
-    k = np.stack(np.meshgrid(*([integer_modes(n)] * dim), indexing="ij")).reshape(dim, -1)
-    dst = np.flatnonzero(np.all(np.abs(k) < n // 2, axis=0))
-    k = k[:, dst]
-    # |k_j| < n/2, so the sign of this key is the sign of the last non-zero k_j
-    flip = (n ** np.arange(dim)) @ k < 0
-    src = np.ravel_multi_index(np.where(flip, -k, k) % (n - 1), (n - 1,) * (dim - 1) + (n // 2,))
-    return _freeze(src), _freeze(dst), _freeze(flip)
+# zero-padding machinery: pruned real-to-complex transforms whose spectra are
+# moved between the n-grid and the padded grid by a few slice copies per axis
 
 
 def padded_size(grid: GridSpec, degree: int | None = None) -> int:
@@ -159,17 +122,31 @@ def to_padded(coeffs: np.ndarray, grid: GridSpec, degree: int | None = None) -> 
 
     The staging half spectrum holds only the n//2 + 1 columns that carry
     modes; in 3D the axis -3 transform runs only on the rows of axis -2 that
-    carry modes, and the final irfft zero-fills the remaining columns.
+    carry modes, and the final irfft zero-fills the remaining columns.  On a
+    larger grid the unpaired Nyquist coefficient is split half-and-half onto
+    the +n/2 and -n/2 slots of each axis, which reproduces the symmetric real
+    interpolant exactly (only +n/2 is kept on the last axis).
     """
     n, dim = grid.n, grid.dim
     m = padded_size(grid, degree)
-    src, dst, weight = _scatter_map(n, m, dim)
+    h = n // 2 + 1
     lead = coeffs.shape[:-dim]
-    half = np.zeros(lead + (m,) * (dim - 1) + (n // 2 + 1,), dtype=np.complex128)
-    half.reshape(lead + (-1,))[..., dst] = coeffs.reshape(lead + (-1,))[..., src] * weight
+    half = np.zeros(lead + (m,) * (dim - 1) + (h,), dtype=np.complex128)
+    # rows [0, n/2] keep their slots and [n/2, n) move to the top of the axis,
+    # so the Nyquist row lands on both n/2 and m - n/2
+    blocks = ((slice(None), slice(None)),)
+    if m > n:
+        blocks = ((slice(0, h), slice(0, h)), (slice(n // 2, n), slice(m - n // 2, m)))
+    for pairs in itertools.product(blocks, repeat=dim - 1):
+        src, dst = zip(*pairs)
+        half[(Ellipsis,) + dst + (slice(None),)] = coeffs[(Ellipsis,) + src + (slice(0, h),)]
+    if m > n:
+        half[..., n // 2] *= 0.5
+        for axis in range(1, dim):
+            for slot in (n // 2, m - n // 2):
+                half[(Ellipsis, slot) + (slice(None),) * axis] *= 0.5
     if dim == 3:
-        rows = (slice(None),) if m == n else (slice(0, n // 2 + 1), slice(m - n // 2, m))
-        for r in rows:
+        for _, r in blocks:
             block = half[..., r, :]
             np.fft.ifft(block, axis=-3, norm="forward", out=block)
     np.fft.ifft(half, axis=-2, norm="forward", out=half)
@@ -179,21 +156,39 @@ def to_padded(coeffs: np.ndarray, grid: GridSpec, degree: int | None = None) -> 
 def from_padded(values_padded: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Coefficients of the band-limited projection of padded-grid samples.
 
-    Only the columns and rows of retained modes are carried from one axis
-    transform to the next.
+    Only the retained columns are carried past the rfft, and in 3D the axis -3
+    transform runs only on the retained rows of axis -2.  The retained modes
+    with a non-negative last non-zero wavenumber are copied from the FFT
+    output; every other one is the conjugate of its mirror -k, so the result
+    is exactly Hermitian, and the Nyquist slots are zero.
     """
     n, dim = grid.n, grid.dim
-    rows = _kept_rows(n, values_padded.shape[-1])
+    m = values_padded.shape[-1]
+    # (n-grid, m-grid) slots of the retained rows: [0, n/2) keep their slots
+    # and (-n/2, 0) sit at the top of either axis
+    blocks = ((slice(0, n // 2),) * 2, (slice(n // 2 + 1, n), slice(m - n // 2 + 1, m)))
     half = np.fft.rfft(values_padded, axis=-1, norm="forward")[..., : n // 2]
-    for axis in range(-2, -dim - 1, -1):
-        half = np.fft.fft(half, axis=axis, norm="forward").take(rows, axis=axis)
-    src, dst, flip = _gather_map(n, dim)
-    lead = values_padded.shape[:-dim]
-    vals = half.reshape(lead + (-1,))[..., src]
-    np.conjugate(vals, out=vals, where=flip)
-    out = np.zeros(lead + grid.shape, dtype=np.complex128)
-    out.reshape(lead + (-1,))[..., dst] = vals
-    return out
+    half = np.fft.fft(half, axis=-2, norm="forward")
+    if dim == 3:
+        for _, r in blocks:
+            block = half[..., r, :]
+            np.fft.fft(block, axis=-3, norm="forward", out=block)
+    out = np.zeros(values_padded.shape[:-dim] + grid.shape, dtype=np.complex128)
+    for pairs in itertools.product(blocks, repeat=dim - 1):
+        dst, src = zip(*pairs)
+        out[(Ellipsis,) + dst + (slice(0, n // 2),)] = half[(Ellipsis,) + src + (slice(None),)]
+    # the mirror of slot i is (-i) % n: slot 0, then [n-1:0:-1]
+    mirror = ((slice(0, 1), slice(0, 1)), (slice(1, n), slice(n - 1, 0, -1)))
+    for axis in range(dim - 1, -1, -1):
+        # modes whose last non-zero wavenumber is on this axis and negative
+        zero = (0,) * (dim - 1 - axis)
+        for pairs in itertools.product(mirror, repeat=axis):
+            dst, src = tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
+            np.conjugate(
+                out[(Ellipsis,) + src + (slice(n // 2 - 1, 0, -1),) + zero],
+                out=out[(Ellipsis,) + dst + (slice(n // 2 + 1, n),) + zero],
+            )
+    return _zero_nyquist(out, dim)
 
 
 def padded_gradient(coeffs: np.ndarray, grid: GridSpec, degree: int | None = None) -> np.ndarray:

@@ -92,7 +92,10 @@ def _extrapolated_guess(state: StepState, prev: StepState | None) -> StepState |
 
 
 def run_simulation(cfg: RunConfig) -> RunReport:
-    """Step from t=0 until t >= t_end, writing one CSV row per accepted step.
+    """Step from t=0 to t_end, writing one CSV row per accepted step.
+
+    Each step tries the configured tau first and shrinks it on failure; the
+    last step is shortened to end at t_end, so the run never overshoots it.
 
     Returns a report carrying the exit status: 0 on success, 3 on solver
     failure (partial outputs are kept), 4 on I/O errors, 5 when every step
@@ -123,8 +126,14 @@ def run_simulation(cfg: RunConfig) -> RunReport:
             trace.write(CSV_HEADER + "\n")
             while state.time < cfg.t_end - 1e-9 * cfg.params.tau:
                 guess = _extrapolated_guess(state, prev_state)
+                params, picard = cfg.params, cfg.picard
+                remaining = cfg.t_end - state.time
+                if remaining < params.tau - 1e-9 * params.tau:
+                    params = replace(params, tau=remaining)
+                    if picard.tau_min is not None and picard.tau_min > remaining:
+                        picard = replace(picard, tau_min=remaining)
                 try:
-                    result = implicit_step(state, cfg.params, cfg.picard, guess=guess)
+                    result = implicit_step(state, params, picard, guess=guess)
                 except (PicardDivergenceError, NonFiniteError) as exc:
                     failure = f"step {step + 1}: {exc}"
                     status = EXIT_SOLVER

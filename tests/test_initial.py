@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from nemflow.diagnostics import director_length_stats, spectral_divergence_max
-from nemflow.fields import GridSpec, fftn_norm, l2_norm, nyquist_mask
+from nemflow.fields import GridSpec, fftn_norm, l2_norm
 from nemflow.initial import initial_condition
+from util import nyquist_mask
 
 
 def test_uniform_perturbed_zero_amplitude_is_ground_state():

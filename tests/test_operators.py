@@ -10,7 +10,7 @@ from nemflow.fields import (
     fftn_norm,
     integer_modes,
     l2_inner,
-    nyquist_mask,
+    wavevectors,
 )
 from nemflow.operators import (
     band_limit_hat,
@@ -18,6 +18,7 @@ from nemflow.operators import (
     from_padded,
     gradient,
     laplacian,
+    leray_hat,
     leray_project,
     max_mode_divergence,
     multiply_dealiased,
@@ -25,7 +26,7 @@ from nemflow.operators import (
     sym_skew_gradient,
     to_padded,
 )
-from util import band_limited, solenoidal
+from util import band_limited, nyquist_mask, solenoidal
 
 
 @pytest.fixture
@@ -313,3 +314,49 @@ def test_pruned_transforms_equal_full_pass_bitwise(dim, mode, degree):
         kept = samples.copy()
         assert np.array_equal(from_padded(samples, grid), _full_pass_from_padded(samples, grid))
         assert np.array_equal(samples, kept)
+
+
+# grids on which every slice block (low rows, high rows, Nyquist rows, mirrors)
+# is non-empty and distinct from the others
+SLICE_CASES = [(dim, n, mode, degree) for dim, n in ((2, 16), (3, 8))
+               for mode in ("none", "two_thirds", "exact") for degree in (None, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("dim,n,mode,degree", SLICE_CASES)
+def test_slice_copies_equal_full_pass_bitwise(dim, n, mode, degree):
+    grid = GridSpec(dim, n, mode)
+    m = padded_size(grid, degree)
+    rng = np.random.default_rng(dim * 1000 + n + m + (degree or 0))
+    for lead in ((), (3,), (3, 3)):
+        # coefficients of white noise carry Nyquist content on every axis
+        coeffs = fftn_norm(rng.standard_normal(lead + grid.shape), dim)
+        got, want = to_padded(coeffs, grid, degree), _full_pass_to_padded(coeffs, grid, m)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        samples = rng.standard_normal(lead + (m,) * dim)
+        # byte comparison: zeros must match in sign too
+        got, want = from_padded(samples, grid), _full_pass_from_padded(samples, grid)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim,n", [(2, 6), (2, 16), (3, 8)])
+def test_band_limit_and_leray_equal_mask_formulas_bitwise(dim, n):
+    grid = GridSpec(dim, n)
+    mask = nyquist_mask(grid)
+    rng = np.random.default_rng(dim + n)
+    for lead in ((), (3,), (3, 3)):
+        coeffs = fftn_norm(rng.standard_normal(lead + grid.shape), dim)
+        kept = coeffs.copy()
+        want = coeffs.copy()
+        want[..., mask] = 0.0
+        assert np.array_equal(band_limit_hat(coeffs, grid), want)
+        assert np.array_equal(coeffs, kept)
+
+    coeffs = fftn_norm(rng.standard_normal((dim,) + grid.shape), dim)
+    kept = coeffs.copy()
+    k = wavevectors(grid)
+    k2 = np.sum(k * k, axis=0)
+    want = coeffs - k * (np.sum(k * coeffs, axis=0) / np.where(k2 == 0.0, 1.0, k2))
+    want[(slice(None),) + (0,) * dim] = 0.0
+    want[..., mask] = 0.0
+    assert np.array_equal(leray_hat(coeffs, grid), want)
+    assert np.array_equal(coeffs, kept)

@@ -50,6 +50,30 @@ def test_three_steps_three_rows(tmp_path):
     assert lines[1].split(",")[0] == "1"
 
 
+@pytest.mark.parametrize("tau_min", [None, 1e-3])
+def test_last_step_is_shortened_to_t_end(tmp_path, tau_min):
+    # a configured tau_min above the shortened step is lowered to it, not an error
+    extra = {} if tau_min is None else {"picard.tau_min": tau_min}
+    cfg = parse_config(_config_text(tmp_path, t_end=2.5e-3, **extra))
+    report = run_simulation(cfg)
+    assert report.status == 0
+    rows = report.trace_path.read_text().splitlines()[1:]
+    assert len(rows) == 3
+    assert abs(report.final_time - 2.5e-3) <= np.spacing(2.5e-3)
+    assert float(rows[-1].split(",")[1]) == report.final_time
+
+
+def test_step_after_tau_shrink_ends_at_t_end(tmp_path):
+    # the first step halves tau; the next one used to take a full tau past t_end
+    cfg = parse_config(_config_text(tmp_path, n=6, t_end=1e-3, **{"ic.kind": "defect_pair"}))
+    report = run_simulation(cfg)
+    assert report.status == 0
+    times = [float(r.split(",")[1]) for r in report.trace_path.read_text().splitlines()[1:]]
+    assert times[0] < 1e-3
+    assert abs(times[-1] - 1e-3) <= np.spacing(1e-3)
+    assert report.final_time == times[-1]
+
+
 @pytest.mark.parametrize("n,kind", [(4, "uniform_perturbed"), (6, "random_smooth")])
 def test_coarse_grid_first_step_runs(tmp_path, n, kind):
     # initial Nyquist content used to stall the first step down to tau_min (exit 3)

@@ -25,6 +25,17 @@ def band_limited(grid: GridSpec, components: int, seed: int, kcut: int | None = 
     return VectorField(grid, scale * ifftn_norm(coeffs * mask, grid.dim))
 
 
+def nyquist_mask(grid: GridSpec) -> np.ndarray:
+    """Boolean mask, True where any axis index sits on the Nyquist slot."""
+    idx = np.abs(integer_modes(grid.n))
+    mask = np.zeros(grid.shape, dtype=bool)
+    for axis in range(grid.dim):
+        shape = [1] * grid.dim
+        shape[axis] = grid.n
+        mask |= idx.reshape(shape) == grid.n // 2
+    return mask
+
+
 def solenoidal(grid: GridSpec, seed: int, kcut: int | None = None,
                scale: float = 1.0) -> VectorField:
     """Random band-limited solenoidal zero-mean velocity."""
