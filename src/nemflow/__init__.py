@@ -29,8 +29,6 @@ from .operators import (
     gradient,
     laplacian,
     leray_project,
-    multiply_dealiased,
-    sym_skew_gradient,
 )
 from .runner import RunReport, run_simulation
 from .snapshots import read_snapshot, write_snapshot
@@ -74,12 +72,10 @@ __all__ = [
     "laplacian",
     "leray_project",
     "load_config",
-    "multiply_dealiased",
     "parse_config",
     "read_snapshot",
     "residual_fully_implicit",
     "run_simulation",
-    "sym_skew_gradient",
     "total_energy",
     "transport_only_run",
     "write_snapshot",

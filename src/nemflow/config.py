@@ -8,6 +8,7 @@ keys are hard errors so typos cannot silently fall back to defaults.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -73,36 +74,37 @@ class RunConfig:
             raise ConfigError("ic.kind = defect_pair requires dim = 2")
 
 
+# key -> (section, field, type); the section's dataclass holds the default
 _KEYS = {
-    "dim": int,
-    "n": int,
-    "dealias": str,
-    "rho": float,
-    "eta": float,
-    "alpha": float,
-    "gamma": float,
-    "epsilon": float,
-    "tau": float,
-    "t_end": float,
-    "picard.tol": float,
-    "picard.max_iter": int,
-    "picard.damping": float,
-    "picard.tau_shrink": float,
-    "picard.tau_min": float,
-    "ic.kind": str,
-    "ic.seed": int,
-    "ic.amplitude": float,
-    "output.trace_path": str,
-    "output.snapshot_dir": str,
-    "output.snapshot_every": int,
-    "output.full_state": bool,
+    "dim": ("grid", "dim", int),
+    "n": ("grid", "n", int),
+    "dealias": ("grid", "dealias", str),
+    "rho": ("params", "rho", float),
+    "eta": ("params", "eta", float),
+    "alpha": ("params", "alpha", float),
+    "gamma": ("params", "gamma", float),
+    "epsilon": ("params", "epsilon", float),
+    "tau": ("params", "tau", float),
+    "t_end": ("run", "t_end", float),
+    "picard.tol": ("picard", "tol", float),
+    "picard.max_iter": ("picard", "max_iter", int),
+    "picard.damping": ("picard", "damping", float),
+    "picard.tau_shrink": ("picard", "tau_shrink", float),
+    "picard.tau_min": ("picard", "tau_min", float),
+    "ic.kind": ("ic", "kind", str),
+    "ic.seed": ("ic", "seed", int),
+    "ic.amplitude": ("ic", "amplitude", float),
+    "output.trace_path": ("output", "trace_path", str),
+    "output.snapshot_dir": ("output", "snapshot_dir", str),
+    "output.snapshot_every": ("output", "snapshot_every", int),
+    "output.full_state": ("output", "full_state", bool),
 }
 
 _REQUIRED = ("dim", "n", "tau", "t_end")
 
 
 def _parse_value(key: str, raw: str, line: int):
-    kind = _KEYS[key]
+    kind = _KEYS[key][2]
     try:
         if kind is bool:
             low = raw.lower()
@@ -147,40 +149,19 @@ def parse_config(text: str) -> RunConfig:
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
+    sections: defaultdict[str, dict[str, object]] = defaultdict(dict)
+    for key, value in values.items():
+        section, name, _ = _KEYS[key]
+        sections[section][name] = value
     try:
-        grid = GridSpec(
-            dim=values["dim"],
-            n=values["n"],
-            dealias=values.get("dealias", "two_thirds"),
+        return RunConfig(
+            grid=GridSpec(**sections["grid"]),
+            params=ModelParams(**sections["params"]),
+            picard=PicardConfig(**sections["picard"]),
+            ic=InitialConditionSpec(**sections["ic"]),
+            output=OutputSpec(**sections["output"]),
+            **sections["run"],
         )
-        params = ModelParams(
-            rho=values.get("rho", 1.0),
-            eta=values.get("eta", 1.0),
-            alpha=values.get("alpha", 0.5),
-            gamma=values.get("gamma", 0.1),
-            epsilon=values.get("epsilon", 0.01),
-            tau=values["tau"],
-        )
-        picard = PicardConfig(
-            tol=values.get("picard.tol", 1e-10),
-            max_iter=values.get("picard.max_iter", 60),
-            damping=values.get("picard.damping", 1.0),
-            tau_shrink=values.get("picard.tau_shrink", 0.5),
-            tau_min=values.get("picard.tau_min"),
-        )
-        ic = InitialConditionSpec(
-            kind=values.get("ic.kind", "uniform_perturbed"),
-            seed=values.get("ic.seed", 0),
-            amplitude=values.get("ic.amplitude", 0.1),
-        )
-        output = OutputSpec(
-            trace_path=values.get("output.trace_path", "energy_trace.csv"),
-            snapshot_dir=values.get("output.snapshot_dir", "snapshots"),
-            snapshot_every=values.get("output.snapshot_every", 0),
-            full_state=values.get("output.full_state", False),
-        )
-        return RunConfig(grid=grid, params=params, t_end=values["t_end"],
-                         picard=picard, ic=ic, output=output)
     except ConfigError:
         raise
     except ValueError as exc:

@@ -13,7 +13,10 @@ director_transport is the deformation law
 the weak-form adjoint of the extra-velocity bracket.
 
 Products are evaluated on the padded grid and truncated back, so each
-operator returns the Galerkin projection of the true quadratic product.
+operator returns the Galerkin projection of the true quadratic product.  The
+coefficient-space operators take padded bundles only (operators.padded_bundle):
+callers that evaluate several products at one iterate pad each field once and
+share its bundle.
 """
 
 from __future__ import annotations
@@ -26,21 +29,10 @@ from .operators import from_padded, padded_bundle
 Bundle = tuple[np.ndarray, np.ndarray]  # (padded samples, padded gradient samples)
 
 
-def extra_velocity_hat(
-    mu_hat: np.ndarray,
-    d_hat: np.ndarray,
-    alpha: float,
-    grid: GridSpec,
-    mu_b: Bundle | None = None,
-    d_b: Bundle | None = None,
-) -> np.ndarray:
-    """Coefficient-space extra velocity; inputs are (dim, ...) coefficients.
-
-    Callers evaluating several operators at the same iterate may pass
-    precomputed padded bundles to avoid repeated transforms.
-    """
-    mu_p, gmu_p = mu_b or padded_bundle(mu_hat, grid)  # gmu_p[c, j] = d mu_c / dx_j
-    d_p, gd_p = d_b or padded_bundle(d_hat, grid)
+def extra_velocity_hat(mu_b: Bundle, d_b: Bundle, alpha: float, grid: GridSpec) -> np.ndarray:
+    """Coefficient-space extra velocity from the bundles of mu and d."""
+    mu_p, gmu_p = mu_b  # gmu_p[c, j] = d mu_c / dx_j
+    d_p, gd_p = d_b
     div_mu = np.einsum("jj...->...", gmu_p)
     div_d = np.einsum("jj...->...", gd_p)
     # (mu . grad d)_i = sum_j mu_j d(d_j)/dx_i
@@ -52,30 +44,26 @@ def extra_velocity_hat(
     return from_padded(term, grid)
 
 
-def director_transport_hat(
-    d_hat: np.ndarray,
-    w_hat: np.ndarray,
-    alpha: float,
-    grid: GridSpec,
-    d_b: Bundle | None = None,
-    w_b: Bundle | None = None,
-) -> np.ndarray:
-    """Coefficient-space transport operator T(d, w)."""
-    d_p, gd_p = d_b or padded_bundle(d_hat, grid)
-    w_p, gw_p = w_b or padded_bundle(w_hat, grid)
+def director_transport_hat(d_b: Bundle, w_b: Bundle, alpha: float, grid: GridSpec) -> np.ndarray:
+    """Coefficient-space transport operator T(d, w) from the bundles of d and w."""
+    d_p, gd_p = d_b
+    w_p, gw_p = w_b
     t = np.einsum("j...,ij...->i...", w_p, gd_p)
     t -= alpha * np.einsum("ij...,j...->i...", gw_p, d_p)
     t += (1.0 - alpha) * np.einsum("ji...,j...->i...", gw_p, d_p)
     return from_padded(t, grid)
 
 
-def convective_hat(
-    u_hat: np.ndarray, grid: GridSpec, u_b: Bundle | None = None
-) -> np.ndarray:
-    """Coefficient-space convection (u . grad) u, dealiased."""
-    u_p, gu_p = u_b or padded_bundle(u_hat, grid)
+def convective_hat(u_b: Bundle, grid: GridSpec) -> np.ndarray:
+    """Coefficient-space convection (u . grad) u, dealiased; a bundle pairing
+    the samples of a with the gradient samples of b gives (a . grad) b."""
+    u_p, gu_p = u_b
     c = np.einsum("j...,ij...->i...", u_p, gu_p)
     return from_padded(c, grid)
+
+
+def _bundle(f: VectorField, grid: GridSpec) -> Bundle:
+    return padded_bundle(fftn_norm(f.values, grid.dim), grid)
 
 
 def _check_pair(a: VectorField, b: VectorField, grid: GridSpec | None) -> GridSpec:
@@ -92,9 +80,7 @@ def extra_velocity(
 ) -> VectorField:
     """v = mu . grad d + alpha div{mu (x) d} - (1 - alpha) div{d (x) mu}."""
     grid = _check_pair(mu, d, grid)
-    v = extra_velocity_hat(
-        fftn_norm(mu.values, grid.dim), fftn_norm(d.values, grid.dim), alpha, grid
-    )
+    v = extra_velocity_hat(_bundle(mu, grid), _bundle(d, grid), alpha, grid)
     return VectorField(grid, ifftn_norm(v, grid.dim))
 
 
@@ -103,8 +89,6 @@ def director_transport(
 ) -> VectorField:
     """T(d, w) = (w . grad) d - alpha (grad w) d + (1 - alpha) (grad^T w) d."""
     grid = _check_pair(d, w, grid)
-    t = director_transport_hat(
-        fftn_norm(d.values, grid.dim), fftn_norm(w.values, grid.dim), alpha, grid
-    )
+    t = director_transport_hat(_bundle(d, grid), _bundle(w, grid), alpha, grid)
     return VectorField(grid, ifftn_norm(t, grid.dim))
 

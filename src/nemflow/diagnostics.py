@@ -25,7 +25,7 @@ from .energetics import (
     well_integral_hat,
 )
 from .fields import GridSpec, VectorField, fftn_norm, ifftn_norm, laplace_symbol
-from .operators import grad_hat, max_mode_divergence
+from .operators import grad_hat, max_mode_divergence, padded_bundle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .stepper import StepState
@@ -41,9 +41,6 @@ class EnergyLedger:
     e_well: float
     e_kinetic: float
     e_total: float
-    prev_elastic: float
-    prev_well: float
-    prev_kinetic: float
     prev_total: float
     d_visc: float
     d_friction: float
@@ -127,9 +124,6 @@ def build_ledger(
         e_well=e_well,
         e_kinetic=e_kinetic,
         e_total=e_total,
-        prev_elastic=p_elastic,
-        prev_well=p_well,
-        prev_kinetic=p_kinetic,
         prev_total=prev_total,
         d_visc=d_visc,
         d_friction=d_friction,
@@ -183,11 +177,11 @@ def transport_only_run(
     dynamics that the implicit stepper refuses.
     """
     grid = d0.grid
-    w_hat = fftn_norm(w.values, grid.dim)
+    w_b = padded_bundle(fftn_norm(w.values, grid.dim), grid)
     d_hat = fftn_norm(d0.values, grid.dim)
 
     def rhs(dh):
-        return -director_transport_hat(dh, w_hat, alpha, grid)
+        return -director_transport_hat(padded_bundle(dh, grid), w_b, alpha, grid)
 
     for _ in range(steps):
         k1 = rhs(d_hat)

@@ -11,18 +11,11 @@ it and differential operators ignore it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 DEALIAS_MODES = ("none", "two_thirds", "exact")
-
-_PADDING = {
-    "none": Fraction(1),
-    "two_thirds": Fraction(3, 2),
-    "exact": Fraction(3),
-}
 
 
 class NonFiniteError(ValueError):
@@ -34,9 +27,10 @@ class GridSpec:
     """Discretisation of the unit torus [0,1)^dim.
 
     n is the sample count per axis (even, >= 4, identical on every axis).
-    The dealias mode fixes the zero-padded grid used for dealiased products:
-    n points for "none", 3n/2 for "two_thirds" (two-thirds rule), 3n for
-    "exact" (alias-free up to quintic products).
+    The dealias mode picks the zero-padded grid of the dealiased products
+    (operators.padded_size): n points for "none", 3n/2 for "two_thirds"
+    (two-thirds rule), and for "exact" the smallest alias-free grid for each
+    product's degree.
     """
 
     dim: int
@@ -50,10 +44,6 @@ class GridSpec:
             raise ValueError(f"n must be even and >= 4, got {self.n}")
         if self.dealias not in DEALIAS_MODES:
             raise ValueError(f"dealias must be one of {DEALIAS_MODES}, got {self.dealias!r}")
-
-    @property
-    def padded_n(self) -> int:
-        return int(self.n * _PADDING[self.dealias])
 
     @property
     def shape(self) -> tuple[int, ...]:

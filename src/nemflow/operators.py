@@ -2,18 +2,18 @@
 
 All differentiation happens in coefficient space on the trigonometric
 interpolant, so gradients, divergences and Laplacians are exact for resolved
-modes.  Nonlinear terms are evaluated pointwise on a zero-padded grid, whose
-size follows from the dealias mode (grid.padded_n), and truncated back, which
-makes the truncated product equal to the exact L2 (Galerkin) projection of the
-true product whenever the padding covers the polynomial degree.  In "exact"
-mode each product gets the smallest alias-free grid for its degree
-(padded_size).  Padded samples are real, so padding and truncation are
-real-to-complex transforms on half spectra, pruned to the FFT lines that
-carry retained modes: each line that is run gets the same 1D transform, in
-the same axis order, as numpy's irfftn/rfftn, so the results are bit-for-bit
-those of the full transforms.  Spectra move between the n-grid and the padded
-grid by a few slice copies per axis; the band limit and the Leray projection
-zero the Nyquist slots with one slice per axis.
+modes.  Nonlinear terms are evaluated pointwise on a zero-padded grid and
+truncated back, which makes the truncated product equal to the exact L2
+(Galerkin) projection of the true product whenever the padding covers the
+polynomial degree.  padded_size alone maps the dealias mode and the product
+degree to the padded grid; in "exact" mode each product gets the smallest
+alias-free grid for its degree.  Padded samples are real, so padding and
+truncation are real-to-complex transforms on half spectra, pruned to the FFT
+lines that carry retained modes: each line that is run gets the same 1D
+transform, in the same axis order, as numpy's irfftn/rfftn, so the results
+are bit-for-bit those of the full transforms.  Spectra move between the
+n-grid and the padded grid by a few slice copies per axis; the band limit and
+the Leray projection zero the Nyquist slots with one slice per axis.
 
 Internal helpers operate on raw coefficient arrays with an arbitrary number of
 leading axes followed by grid.dim spatial axes; the typed wrappers work on
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -99,26 +98,26 @@ def max_mode_divergence(coeffs: np.ndarray, grid: GridSpec) -> float:
 # moved between the n-grid and the padded grid by a few slice copies per axis
 
 
-def padded_size(grid: GridSpec, degree: int | None = None) -> int:
-    """Padded grid size for a product of the given degree.
+def padded_size(grid: GridSpec, degree: int) -> int:
+    """Padded grid size for a product of the given degree: the whole policy.
 
-    Outside "exact" mode the policy size grid.padded_n is always used.
-    In exact mode any grid at or above the alias-free bound yields the
-    identical Galerkin projection, so the smallest convenient size is chosen;
-    degree None falls back to the full policy size.
+    "none" keeps the n-grid and "two_thirds" uses 3n/2 points.  In "exact"
+    mode any grid with at least degree (n/2 - 1) + n/2 points yields the
+    identical Galerkin projection of the product, so the smallest multiple of
+    n/2 at or above that bound is used: 3n/2, 2n and 5n/2 points at degrees
+    2, 3 and 4 once n > 8.
     """
-    if degree is None or grid.dealias != "exact":
-        return grid.padded_n
     n = grid.n
+    if grid.dealias == "none":
+        return n
+    if grid.dealias == "two_thirds":
+        return 3 * n // 2
     bound = degree * (n // 2 - 1) + n // 2
-    for m in (n, 3 * n // 2, 2 * n, 5 * n // 2, 3 * n):
-        if m >= bound:
-            return m
-    return grid.padded_n
+    return -(-bound // (n // 2)) * (n // 2)
 
 
-def to_padded(coeffs: np.ndarray, grid: GridSpec, degree: int | None = None) -> np.ndarray:
-    """Real samples of the interpolant on the padded grid.
+def to_padded(coeffs: np.ndarray, grid: GridSpec, degree: int) -> np.ndarray:
+    """Real samples of the interpolant on the grid padded for the degree.
 
     The staging half spectrum holds only the n//2 + 1 columns that carry
     modes; in 3D the axis -3 transform runs only on the rows of axis -2 that
@@ -191,15 +190,16 @@ def from_padded(values_padded: np.ndarray, grid: GridSpec) -> np.ndarray:
     return _zero_nyquist(out, dim)
 
 
-def padded_gradient(coeffs: np.ndarray, grid: GridSpec, degree: int | None = None) -> np.ndarray:
-    """Real samples of every partial derivative on the padded grid; the
-    derivative axis follows the leading axes."""
-    return to_padded(grad_hat(coeffs, grid), grid, degree)
+def padded_gradient(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Real samples of every partial derivative on the quadratic padded grid;
+    the derivative axis follows the leading axes."""
+    return to_padded(grad_hat(coeffs, grid), grid, 2)
 
 
-def padded_bundle(coeffs: np.ndarray, grid: GridSpec, degree: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """(samples, gradient samples) of a field on the degree-sized padded grid."""
-    return to_padded(coeffs, grid, degree), padded_gradient(coeffs, grid, degree)
+def padded_bundle(coeffs: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(samples, gradient samples) of a field on the quadratic padded grid:
+    the input of every bilinear product in coupling."""
+    return to_padded(coeffs, grid, 2), padded_gradient(coeffs, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -237,42 +237,9 @@ def laplacian(f: VectorField) -> VectorField:
     return VectorField(f.grid, ifftn_norm(out, f.grid.dim))
 
 
-def sym_skew_gradient(u: VectorField) -> tuple[TensorField, TensorField]:
-    """Symmetric and skew parts of the velocity gradient; Du + Wu = grad u."""
-    if u.components != u.grid.dim:
-        raise ValueError("sym_skew_gradient needs a dim-component field")
-    g = gradient(u).values
-    gt = np.swapaxes(g, 0, 1)
-    return TensorField(u.grid, 0.5 * (g + gt)), TensorField(u.grid, 0.5 * (g - gt))
-
-
 def leray_project(w: VectorField) -> VectorField:
     """L2-orthogonal projection onto solenoidal, zero-mean vector fields."""
     if w.components != w.grid.dim:
         raise ValueError("leray_project needs a dim-component field")
     coeffs = fftn_norm(w.values, w.grid.dim)
     return VectorField(w.grid, ifftn_norm(leray_hat(coeffs, w.grid), w.grid.dim))
-
-
-def multiply_dealiased(factors: Sequence[VectorField], grid: GridSpec | None = None) -> VectorField:
-    """Componentwise product of 2-5 fields, dealiased per the grid policy.
-
-    One-component factors broadcast against many-component factors.  In
-    "exact" mode the result is the true L2 projection of the product onto the
-    retained trigonometric space (the 3n padded grid is alias-free up to
-    degree 5).
-    """
-    if not 2 <= len(factors) <= 5:
-        raise ValueError("multiply_dealiased takes 2 to 5 factors")
-    if grid is None:
-        grid = factors[0].grid
-    comps = {f.components for f in factors}
-    if any(f.grid != grid for f in factors):
-        raise ValueError("factors live on different grids")
-    if len(comps - {1}) > 1:
-        raise ValueError("factor component counts must match or be 1")
-    prod = None
-    for f in factors:
-        p = to_padded(fftn_norm(f.values, grid.dim), grid)
-        prod = p if prod is None else prod * p
-    return VectorField(grid, ifftn_norm(from_padded(prod, grid), grid.dim))

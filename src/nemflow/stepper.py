@@ -86,7 +86,8 @@ class PicardConfig:
     tau_min = None resolves to 1e-6 * tau at step time.  damping scales the
     update along the solved direction; within one pass the backtracking line
     search halves it until the residual decreases, and it resets for the next
-    pass.  max_iter caps outer residual evaluations per tau attempt.
+    pass.  max_iter caps the Newton passes per tau attempt, not the residual
+    evaluations: each pass's line search can spend up to 8 of them.
     """
 
     tol: float = 1e-10
@@ -210,11 +211,11 @@ class _Workspace:
         mu = band_limit_hat(self.lap * d_hat + fp - self.d_prev / p.gamma, grid)
         mu_b = padded_bundle(mu, grid)
         u_b = padded_bundle(u_hat, grid)
-        v = extra_velocity_hat(mu, d_hat, p.alpha, grid, mu_b=mu_b, d_b=d_b)
+        v = extra_velocity_hat(mu_b, d_b, p.alpha, grid)
         v_b = padded_bundle(v, grid)
         w_b = (u_b[0] + v_b[0], u_b[1] + v_b[1])
-        transport = director_transport_hat(d_hat, u_hat + v, p.alpha, grid, d_b=d_b, w_b=w_b)
-        conv = convective_hat(u_hat, grid, u_b=u_b)
+        transport = director_transport_hat(d_b, w_b, p.alpha, grid)
+        conv = convective_hat(u_b, grid)
         self._finite(mu, v, transport, conv)
         return _Terms(mu, v, transport, conv, d_b, mu_b, w_b, u_b, d3_p)
 
@@ -236,14 +237,14 @@ class _Workspace:
         dmu = band_limit_hat(self.lap * delta_d + dfp, grid)
         dmu_b = padded_bundle(dmu, grid)
         du_b = padded_bundle(delta_u, grid)
-        dv = extra_velocity_hat(dmu, delta_d, p.alpha, grid, mu_b=dmu_b, d_b=t.d_b) \
-            + extra_velocity_hat(t.mu, delta_d, p.alpha, grid, mu_b=t.mu_b, d_b=dd_b)
+        dv = extra_velocity_hat(dmu_b, t.d_b, p.alpha, grid) \
+            + extra_velocity_hat(t.mu_b, dd_b, p.alpha, grid)
         dv_b = padded_bundle(dv, grid)
         dw_b = (du_b[0] + dv_b[0], du_b[1] + dv_b[1])
-        dtrans = director_transport_hat(delta_d, None, p.alpha, grid, d_b=dd_b, w_b=t.w_b) \
-            + director_transport_hat(None, None, p.alpha, grid, d_b=t.d_b, w_b=dw_b)
-        dconv = convective_hat(None, grid, u_b=(du_b[0], t.u_b[1])) \
-            + convective_hat(None, grid, u_b=(t.u_b[0], du_b[1]))
+        dtrans = director_transport_hat(dd_b, t.w_b, p.alpha, grid) \
+            + director_transport_hat(t.d_b, dw_b, p.alpha, grid)
+        dconv = convective_hat((du_b[0], t.u_b[1]), grid) \
+            + convective_hat((t.u_b[0], du_b[1]), grid)
         df_d = delta_d + tau * dtrans + p.epsilon * tau * dmu
         df_u = leray_hat(
             p.rho * delta_u + tau * p.rho * dconv
@@ -298,34 +299,31 @@ class _Workspace:
 def _gmres(matvec, b: np.ndarray, rel_tol: float, max_inner: int) -> np.ndarray:
     """Matrix-free GMRES on flat complex vectors, no restarts.
 
-    The Arnoldi least squares is re-solved densely each iteration; with a
-    couple dozen inner iterations at most, that costs nothing next to the
-    matvecs and avoids rotation bookkeeping.
+    The Arnoldi least squares is re-solved densely each iteration on the
+    leading block of one preallocated Hessenberg array; with a couple dozen
+    inner iterations at most, that costs nothing next to the matvecs and
+    avoids rotation bookkeeping.
     """
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
         return np.zeros_like(b)
     basis = [b / norm_b]
-    cols: list[np.ndarray] = []
+    h = np.zeros((max_inner + 1, max_inner), dtype=np.complex128)
+    e1 = np.zeros(max_inner + 1, dtype=np.complex128)
+    e1[0] = norm_b
     y = np.zeros(0, dtype=np.complex128)
     for k in range(max_inner):
         w = matvec(basis[k])
-        col = np.zeros(k + 2, dtype=np.complex128)
         for i in range(k + 1):
-            col[i] = np.vdot(basis[i], w)
-            w = w - col[i] * basis[i]
-        col[k + 1] = np.linalg.norm(w)
-        cols.append(col)
-        h = np.zeros((k + 2, k + 1), dtype=np.complex128)
-        for j, c in enumerate(cols):
-            h[: c.size, j] = c
-        e1 = np.zeros(k + 2, dtype=np.complex128)
-        e1[0] = norm_b
-        y, *_ = np.linalg.lstsq(h, e1, rcond=None)
-        lucky = col[k + 1] <= 1e-14 * norm_b
+            h[i, k] = np.vdot(basis[i], w)
+            w = w - h[i, k] * basis[i]
+        h[k + 1, k] = np.linalg.norm(w)
+        hk, ek = h[: k + 2, : k + 1], e1[: k + 2]
+        y, *_ = np.linalg.lstsq(hk, ek, rcond=None)
+        lucky = h[k + 1, k] <= 1e-14 * norm_b
         if not lucky:
-            basis.append(w / col[k + 1])
-        if lucky or np.linalg.norm(h @ y - e1) <= rel_tol * norm_b:
+            basis.append(w / h[k + 1, k])
+        if lucky or np.linalg.norm(hk @ y - ek) <= rel_tol * norm_b:
             break
     out = np.zeros_like(b)
     for i in range(y.size):
@@ -489,14 +487,17 @@ def residual_fully_implicit(
     mu_def = chemical_potential_hat(d_hat, d_prev_hat, grid, params.gamma)
     r_mu = spectral_l2_norm(mu_hat - mu_def) / (1.0 + spectral_l2_norm(mu_hat))
 
-    v_hat = extra_velocity_hat(mu_hat, d_hat, params.alpha, grid)
-    transport = director_transport_hat(d_hat, u_hat + v_hat, params.alpha, grid)
+    d_b = padded_bundle(d_hat, grid)
+    v_hat = extra_velocity_hat(padded_bundle(mu_hat, grid), d_b, params.alpha, grid)
+    w_b = padded_bundle(u_hat + v_hat, grid)
+    transport = director_transport_hat(d_b, w_b, params.alpha, grid)
     res_d = d_hat - d_prev_hat + tau * transport + eps * tau * mu_hat
     r_d = spectral_l2_norm(res_d) / (1.0 + spectral_l2_norm(d_hat))
 
     lap = laplace_symbol(grid)
+    conv = convective_hat(padded_bundle(u_hat, grid), grid)
     res_u = leray_hat(
-        params.rho * (u_hat - u_prev_hat) + tau * params.rho * convective_hat(u_hat, grid)
+        params.rho * (u_hat - u_prev_hat) + tau * params.rho * conv
         + tau * params.eta * lap * u_hat - tau * v_hat,
         grid,
     )

@@ -2,6 +2,7 @@ import pytest
 
 from nemflow.cli import main as cli_main
 from nemflow.config import ConfigError, parse_config
+from nemflow.operators import padded_size
 
 MINIMAL = """
 dim = 2
@@ -16,7 +17,7 @@ def test_minimal_config_defaults():
     assert cfg.grid.dim == 2
     assert cfg.grid.n == 16
     assert cfg.grid.dealias == "two_thirds"
-    assert cfg.grid.padded_n == 24
+    assert [padded_size(cfg.grid, degree) for degree in (2, 3, 4)] == [24, 24, 24]
     assert cfg.params.alpha == 0.5
     assert cfg.params.rho == 1.0
     assert cfg.params.eta == 1.0
@@ -31,8 +32,10 @@ def test_alpha_out_of_range_names_invariant():
 
 
 def test_exact_mode_defaults_to_padding_three():
+    """Exact mode pads each product to its degree's alias-free grid, which
+    stays below 3n up to quartic products."""
     cfg = parse_config(MINIMAL + "dealias = exact\n")
-    assert cfg.grid.padded_n == 48
+    assert [padded_size(cfg.grid, degree) for degree in (2, 3, 4)] == [24, 32, 40]
 
 
 def test_padding_factor_is_unknown_key():

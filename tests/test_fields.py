@@ -9,6 +9,7 @@ from nemflow.fields import (
     ifftn_norm,
     l2_inner,
 )
+from nemflow.operators import padded_size
 from util import band_limited
 
 
@@ -25,9 +26,18 @@ def test_grid_validation():
 
 
 def test_padded_sizes_per_mode():
-    assert GridSpec(2, 8, "none").padded_n == 8
-    assert GridSpec(2, 8, "two_thirds").padded_n == 12
-    assert GridSpec(2, 8, "exact").padded_n == 24
+    def sizes(n, mode):
+        return [padded_size(GridSpec(2, n, mode), degree) for degree in (2, 3, 4)]
+
+    assert sizes(8, "none") == [8, 8, 8]
+    assert sizes(8, "two_thirds") == [12, 12, 12]
+    assert sizes(16, "none") == [16, 16, 16]
+    assert sizes(16, "two_thirds") == [24, 24, 24]
+    # exact: the smallest multiple of n/2 with degree (n/2 - 1) + n/2 points
+    assert sizes(16, "exact") == [24, 32, 40]
+    assert sizes(8, "exact") == [12, 16, 16]
+    assert sizes(6, "exact") == [9, 9, 12]
+    assert sizes(4, "exact") == [4, 6, 6]
 
 
 def test_vector_field_validation():

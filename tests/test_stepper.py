@@ -224,6 +224,7 @@ def test_convective_energy_neutrality():
     energy: its pairing with u vanishes to round-off."""
     from nemflow.coupling import convective_hat
     from nemflow.fields import fftn_norm, spectral_l2_norm
+    from nemflow.operators import padded_bundle
 
     grid = GridSpec(2, 16, "exact")
     state = StepState(
@@ -233,7 +234,7 @@ def test_convective_energy_neutrality():
     params = ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3)
     result = implicit_step(state, params, PicardConfig(tol=1e-11))
     u_hat = fftn_norm(result.state.u.values, grid.dim)
-    conv = convective_hat(u_hat, grid)
+    conv = convective_hat(padded_bundle(u_hat, grid), grid)
     pairing = abs(float(np.sum((conv * np.conj(u_hat)).real)))
     assert pairing <= 1e-11 * max(spectral_l2_norm(u_hat) ** 3, 1e-30)
 
