@@ -8,6 +8,7 @@ from nemflow.fields import (
     GridSpec,
     VectorField,
     fftn_norm,
+    ifftn_norm,
     integer_modes,
     l2_inner,
     wavevectors,
@@ -89,6 +90,32 @@ def test_laplacian_examples(grid):
     assert np.max(np.abs(laplacian(r).values - composed)) < 1e-11
 
 
+def test_sym_skew_parts(grid):
+    # strain rate and vorticity tensor from the Jacobian (grad u)_{ij} = du_i/dx_j
+    def sym_skew(u):
+        g = gradient(u).values
+        gt = np.swapaxes(g, 0, 1)
+        return 0.5 * (g + gt), 0.5 * (g - gt)
+
+    x = grid.meshgrid()
+    # single-mode shear: u1 depends only on x2
+    u = VectorField(grid, np.stack([np.sin(2 * np.pi * x[1]), np.zeros(grid.shape)]))
+    du, wu = sym_skew(u)
+    expect = np.pi * np.cos(2 * np.pi * x[1])
+    assert np.max(np.abs(wu[0, 1] - expect)) < 1e-12
+    assert np.max(np.abs(wu[1, 0] + expect)) < 1e-12
+    assert np.max(np.abs(du[0, 1] - expect)) < 1e-12
+
+    # rigid-rotation analogue: the linear part at the origin has Du = 0
+    rot = VectorField(grid, np.stack([-np.sin(2 * np.pi * x[1]), np.sin(2 * np.pi * x[0])]))
+    du_rot, _ = sym_skew(rot)
+    assert np.max(np.abs(du_rot[:, :, 0, 0])) < 1e-12
+
+    r = band_limited(grid, 2, seed=6)
+    du_r, wu_r = sym_skew(r)
+    assert np.max(np.abs(du_r + wu_r - gradient(r).values)) < 1e-14
+
+
 def test_leray_annihilates_gradients(grid):
     phi = band_limited(grid, 1, seed=11)
     gphi = gradient(phi).values[0]
@@ -112,6 +139,48 @@ def test_leray_idempotent_and_divergence_free(grid):
     assert max_mode_divergence(coeffs, grid) <= 1e-12 * max(norm, 1e-30)
     # k=0 is pinned to zero spectrally; the sample round trip leaves round-off
     assert np.max(np.abs(coeffs[:, 0, 0])) < 1e-15 * (1.0 + norm)
+
+
+def _product(factors, grid):
+    """Pointwise product of fields through the padded path of the solver's
+    products: pad each factor for the product degree, multiply, truncate."""
+    prod = 1.0
+    for f in factors:
+        prod = prod * to_padded(fftn_norm(f.values, grid.dim), grid, len(factors))
+    return VectorField(grid, ifftn_norm(from_padded(prod, grid), grid.dim))
+
+
+def test_multiply_identity_with_constant_one(grid):
+    one = VectorField(grid, np.ones((1, 8, 8)))
+    f = band_limited(grid, 2, seed=14)
+    out = _product([one, f], grid)
+    assert np.max(np.abs(out.values - f.values)) < 1e-13
+
+
+def test_multiply_cosine_square(grid):
+    x = grid.meshgrid()
+    f = VectorField(grid, np.cos(2 * np.pi * x[0])[None])
+    out = _product([f, f], grid)
+    want = 0.5 + 0.5 * np.cos(4 * np.pi * x[0])
+    assert np.max(np.abs(out.values[0] - want)) < 1e-13
+
+
+def test_multiply_quintic_matches_convolution_oracle(grid):
+    # exact mode pads a degree-5 product to its alias-free grid as well
+    factors = [band_limited(grid, 1, seed=20 + i) for i in range(5)]
+    got = _product(factors, grid)
+
+    modes = oracle.retained_modes(grid)
+    fine_pts = oracle._points(32, 2)
+    syn_fine = oracle._synthesis(modes, fine_pts)
+    ana_fine = oracle._analysis(modes, fine_pts)
+    syn_grid = oracle._synthesis(modes, oracle._points(8, 2))
+    prod = np.ones(fine_pts.shape[0])
+    for f in factors:
+        coeffs = oracle._coefficients(grid, f.values)
+        prod = prod * (coeffs @ syn_fine.T).real[0]
+    projected = (prod @ ana_fine.T) @ syn_grid.T
+    assert np.max(np.abs(got.values[0].ravel() - projected.real)) < 1e-12
 
 
 def test_operator_linearity(grid):
