@@ -18,12 +18,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .coupling import director_transport_hat
-from .energetics import (
-    ModelParams,
-    elastic_energy_hat,
-    kinetic_energy_hat,
-    well_integral_hat,
-)
+from .energetics import ModelParams, total_energy_hat
 from .fields import GridSpec, VectorField, fftn_norm, ifftn_norm, laplace_symbol
 from .operators import grad_hat, max_mode_divergence, padded_bundle
 
@@ -35,7 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class EnergyLedger:
     """One row of the per-step energy balance."""
 
-    step: int
     time: float
     e_elastic: float
     e_well: float
@@ -63,44 +57,34 @@ class InequalityCheck:
 class LengthStats(NamedTuple):
     min: float
     max: float
-    mean: float
     max_deviation: float
 
 
 def build_ledger(
     prev: "StepState",
-    d: VectorField,
-    u: VectorField,
+    cur: "StepState",
     mu: VectorField,
     v_extra: VectorField,
     params: ModelParams,
     *,
-    step: int = 0,
-    time: float = 0.0,
-    picard_iters: int = 0,
-    picard_residual: float = 0.0,
+    picard_iters: int,
+    picard_residual: float,
 ) -> EnergyLedger:
-    """Assemble every term of the energy balance for one accepted step.
+    """Assemble every term of the energy balance for the step prev -> cur.
 
-    All quadratic terms are Parseval sums; the well integral uses the same
+    Both levels' energies and the jumps come from the states' own
+    coefficients; only mu and the extra velocity are transformed here.  All
+    quadratic terms are Parseval sums; the well integral uses the same
     dealiased quadrature as the stepper, so in exact mode the recorded slack
     reduces to the (nonnegative) convexity gap plus solver residual.
     """
-    grid = d.grid
+    grid = cur.grid
     tau = params.tau
-    d_hat = fftn_norm(d.values, grid.dim)
-    u_hat = fftn_norm(u.values, grid.dim)
+    d_hat, u_hat, dp_hat, up_hat = cur.d_hat, cur.u_hat, prev.d_hat, prev.u_hat
     mu_hat = fftn_norm(mu.values, grid.dim)
     v_hat = fftn_norm(v_extra.values, grid.dim)
-    dp_hat = fftn_norm(prev.d.values, grid.dim)
-    up_hat = fftn_norm(prev.u.values, grid.dim)
-
-    e_elastic = elastic_energy_hat(d_hat, grid)
-    e_well = well_integral_hat(d_hat, grid, params.gamma)
-    e_kinetic = kinetic_energy_hat(u_hat, params.rho)
-    p_elastic = elastic_energy_hat(dp_hat, grid)
-    p_well = well_integral_hat(dp_hat, grid, params.gamma)
-    p_kinetic = kinetic_energy_hat(up_hat, params.rho)
+    energy = total_energy_hat(d_hat, u_hat, params, grid)
+    prev_total = total_energy_hat(dp_hat, up_hat, params, grid).total
 
     g = grad_hat(u_hat, grid)
     sym = 0.5 * (g + np.swapaxes(g, 0, 1))
@@ -113,17 +97,14 @@ def build_ledger(
     j_d = float(np.sum(np.abs(dd) ** 2)) / (2.0 * params.gamma)
     j_u = 0.5 * params.rho * float(np.sum(np.abs(u_hat - up_hat) ** 2))
 
-    e_total = e_elastic + e_well + e_kinetic
-    prev_total = p_elastic + p_well + p_kinetic
-    slack = prev_total - e_total - (d_visc + d_friction + d_eps + j_grad + j_d + j_u)
+    slack = prev_total - energy.total - (d_visc + d_friction + d_eps + j_grad + j_d + j_u)
 
     return EnergyLedger(
-        step=step,
-        time=time,
-        e_elastic=e_elastic,
-        e_well=e_well,
-        e_kinetic=e_kinetic,
-        e_total=e_total,
+        time=cur.time,
+        e_elastic=energy.elastic,
+        e_well=energy.well,
+        e_kinetic=energy.kinetic,
+        e_total=energy.total,
         prev_total=prev_total,
         d_visc=d_visc,
         d_friction=d_friction,
@@ -150,20 +131,18 @@ def check_energy_inequality(ledger: EnergyLedger, budget: float | None = None) -
 
 
 def director_length_stats(d: VectorField) -> LengthStats:
-    """Pointwise |d| statistics: (min, max, mean, max | |d|-1 |)."""
+    """Pointwise |d| statistics: (min, max, max | |d|-1 |)."""
     length = np.sqrt(np.sum(d.values * d.values, axis=0))
     return LengthStats(
         float(np.min(length)),
         float(np.max(length)),
-        float(np.mean(length)),
         float(np.max(np.abs(length - 1.0))),
     )
 
 
-def h2_diagnostic(d: VectorField, grid: GridSpec | None = None) -> float:
-    """L2 norm of the spectral Laplacian of d (H^2 seminorm surrogate)."""
-    grid = grid or d.grid
-    d_hat = fftn_norm(d.values, grid.dim)
+def h2_diagnostic(d_hat: np.ndarray, grid: GridSpec) -> float:
+    """L2 norm of the spectral Laplacian of d, from its coefficients d_hat
+    (H^2 seminorm surrogate)."""
     return float(np.sqrt(np.sum(laplace_symbol(grid) ** 2 * np.abs(d_hat) ** 2)))
 
 

@@ -101,6 +101,17 @@ def kinetic_energy_hat(u_hat: np.ndarray, rho: float) -> float:
     return 0.5 * rho * float(np.sum(np.abs(u_hat) ** 2))
 
 
+def total_energy_hat(
+    d_hat: np.ndarray, u_hat: np.ndarray, params: ModelParams, grid: GridSpec
+) -> EnergyBreakdown:
+    """Elastic + well + kinetic energy of one level from its coefficients."""
+    return EnergyBreakdown.of(
+        elastic_energy_hat(d_hat, grid),
+        well_integral_hat(d_hat, grid, params.gamma),
+        kinetic_energy_hat(u_hat, params.rho),
+    )
+
+
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -121,11 +132,6 @@ def total_energy(
 ) -> EnergyBreakdown:
     """Elastic + well + kinetic energy of a state (unit volume)."""
     grid = grid or d.grid
-    d_hat = fftn_norm(d.values, grid.dim)
-    u_hat = fftn_norm(u.values, grid.dim)
-    return EnergyBreakdown.of(
-        elastic_energy_hat(d_hat, grid),
-        well_integral_hat(d_hat, grid, params.gamma),
-        kinetic_energy_hat(u_hat, params.rho),
-    )
+    return total_energy_hat(fftn_norm(d.values, grid.dim), fftn_norm(u.values, grid.dim),
+                            params, grid)
 

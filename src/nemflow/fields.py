@@ -53,13 +53,9 @@ class GridSpec:
     def npoints(self) -> int:
         return self.n**self.dim
 
-    def axes_points(self) -> np.ndarray:
-        """Sample coordinates along one axis: j/n for j = 0..n-1."""
-        return np.arange(self.n) / self.n
-
     def meshgrid(self) -> np.ndarray:
-        """Coordinates of every sample, shape (dim, n, ..., n)."""
-        x = self.axes_points()
+        """Coordinates of every sample, j/n along each axis, shape (dim, n, ..., n)."""
+        x = np.arange(self.n) / self.n
         return np.stack(np.meshgrid(*([x] * self.dim), indexing="ij"))
 
 

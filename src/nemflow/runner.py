@@ -11,16 +11,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .config import RunConfig
-from .diagnostics import (
-    check_energy_inequality,
-    director_length_stats,
-    h2_diagnostic,
-    spectral_divergence_max,
-)
-from .energetics import total_energy
+from .diagnostics import check_energy_inequality, director_length_stats, h2_diagnostic
+from .energetics import total_energy_hat
 from .fields import NonFiniteError, VectorField, fftn_norm, ifftn_norm
 from .initial import initial_condition
-from .operators import leray_hat
+from .operators import leray_hat, max_mode_divergence
 from .snapshots import write_snapshot
 from .stepper import PicardDivergenceError, StepState, implicit_step
 
@@ -104,7 +99,7 @@ def run_simulation(cfg: RunConfig) -> RunReport:
     """
     grid = cfg.grid
     state = initial_condition(cfg.ic.kind, grid, cfg.ic.seed, cfg.ic.amplitude)
-    e0 = total_energy(state.d, state.u, cfg.params, grid).total
+    e0 = total_energy_hat(state.d_hat, state.u_hat, cfg.params, grid).total
     budget = 10.0 * cfg.picard.tol * (1.0 + e0)
 
     trace_path = Path(cfg.output.trace_path)
@@ -141,12 +136,11 @@ def run_simulation(cfg: RunConfig) -> RunReport:
                 step += 1
                 prev_state = state
                 state = result.state
-                ledger = replace(result.ledger, step=step)
                 stats = director_length_stats(state.d)
-                div_u = spectral_divergence_max(state.u)
-                h2 = h2_diagnostic(state.d, grid)
-                trace.write(_csv_row(step, ledger, stats, div_u, h2) + "\n")
-                if not check_energy_inequality(ledger, budget).passed:
+                div_u = max_mode_divergence(state.u_hat, grid)
+                h2 = h2_diagnostic(state.d_hat, grid)
+                trace.write(_csv_row(step, result.ledger, stats, div_u, h2) + "\n")
+                if not check_energy_inequality(result.ledger, budget).passed:
                     checks_ok = False
                 if cfg.output.snapshot_every > 0 and step % cfg.output.snapshot_every == 0:
                     fields = {"d": state.d.values, "u": state.u.values}

@@ -21,7 +21,7 @@ the preconditioner never alters what is solved, only how fast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .fields import (
     GridSpec,
     NonFiniteError,
     VectorField,
+    _freeze,
     fftn_norm,
     ifftn_norm,
     laplace_symbol,
@@ -55,11 +56,19 @@ class PicardDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepState:
-    """One time level (d, u); u is solenoidal with zero mean."""
+    """One time level (d, u); u is solenoidal with zero mean.
+
+    The level's Fourier coefficients d_hat and u_hat (fftn_norm of the
+    samples, read-only) are computed once, on construction; the stepper, the
+    ledger and the runner's diagnostics read them instead of transforming
+    the samples again.
+    """
 
     d: VectorField
     u: VectorField
     time: float = 0.0
+    d_hat: np.ndarray = field(init=False, repr=False, compare=False)
+    u_hat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = self.d.grid
@@ -67,7 +76,9 @@ class StepState:
             raise ValueError("d and u live on different grids")
         if self.d.components != grid.dim or self.u.components != grid.dim:
             raise ValueError("state fields need dim components")
-        u_hat = fftn_norm(self.u.values, grid.dim)
+        object.__setattr__(self, "d_hat", _freeze(fftn_norm(self.d.values, grid.dim)))
+        u_hat = _freeze(fftn_norm(self.u.values, grid.dim))
+        object.__setattr__(self, "u_hat", u_hat)
         unorm = spectral_l2_norm(u_hat)
         if max_mode_divergence(u_hat, grid) > 1e-12 * (1.0 + unorm):
             raise ValueError("u is not solenoidal to spectral tolerance")
@@ -115,8 +126,6 @@ class StepResult:
     mu: VectorField
     v_extra: VectorField
     ledger: EnergyLedger
-    iters: int
-    residual: float
     tau_used: float
 
 
@@ -421,18 +430,10 @@ def implicit_step(
     if not 0.0 < tau_min <= params.tau:
         raise ValueError("picard.tau_min must satisfy 0 < tau_min <= tau")
 
-    d_prev_hat = fftn_norm(prev.d.values, grid.dim)
-    u_prev_hat = fftn_norm(prev.u.values, grid.dim)
-    guess_hats = None
-    if guess is not None:
-        guess_hats = (
-            fftn_norm(guess.d.values, grid.dim),
-            fftn_norm(guess.u.values, grid.dim),
-        )
-
+    guess_hats = (guess.d_hat, guess.u_hat) if guess is not None else None
     tau = params.tau
     while True:
-        ws = _Workspace(grid, params, tau, d_prev_hat, u_prev_hat, guess_hats)
+        ws = _Workspace(grid, params, tau, prev.d_hat, prev.u_hat, guess_hats)
         overflowed = False
         try:
             out = _picard_attempt(ws, cfg)
@@ -452,15 +453,13 @@ def implicit_step(
             raise PicardDivergenceError("Picard iteration stalled down to tau_min")
 
     d_hat, u_hat, t, iters, res = out
-    d = VectorField(grid, ifftn_norm(d_hat, grid.dim))
-    u = VectorField(grid, ifftn_norm(u_hat, grid.dim))
+    state = StepState(VectorField(grid, ifftn_norm(d_hat, grid.dim)),
+                      VectorField(grid, ifftn_norm(u_hat, grid.dim)), time=prev.time + tau)
     mu = VectorField(grid, ifftn_norm(t.mu, grid.dim))
     v_extra = VectorField(grid, ifftn_norm(t.v, grid.dim))
-    state = StepState(d, u, time=prev.time + tau)
     used = replace(params, tau=tau)
-    ledger = build_ledger(prev, d, u, mu, v_extra, used,
-                          time=state.time, picard_iters=iters, picard_residual=res)
-    return StepResult(state, mu, v_extra, ledger, iters, res, tau)
+    ledger = build_ledger(prev, state, mu, v_extra, used, picard_iters=iters, picard_residual=res)
+    return StepResult(state, mu, v_extra, ledger, tau)
 
 
 def residual_fully_implicit(
@@ -481,23 +480,21 @@ def residual_fully_implicit(
     d_hat = fftn_norm(d.values, grid.dim)
     u_hat = fftn_norm(u.values, grid.dim)
     mu_hat = fftn_norm(mu.values, grid.dim)
-    d_prev_hat = fftn_norm(prev.d.values, grid.dim)
-    u_prev_hat = fftn_norm(prev.u.values, grid.dim)
 
-    mu_def = chemical_potential_hat(d_hat, d_prev_hat, grid, params.gamma)
+    mu_def = chemical_potential_hat(d_hat, prev.d_hat, grid, params.gamma)
     r_mu = spectral_l2_norm(mu_hat - mu_def) / (1.0 + spectral_l2_norm(mu_hat))
 
     d_b = padded_bundle(d_hat, grid)
     v_hat = extra_velocity_hat(padded_bundle(mu_hat, grid), d_b, params.alpha, grid)
     w_b = padded_bundle(u_hat + v_hat, grid)
     transport = director_transport_hat(d_b, w_b, params.alpha, grid)
-    res_d = d_hat - d_prev_hat + tau * transport + eps * tau * mu_hat
+    res_d = d_hat - prev.d_hat + tau * transport + eps * tau * mu_hat
     r_d = spectral_l2_norm(res_d) / (1.0 + spectral_l2_norm(d_hat))
 
     lap = laplace_symbol(grid)
     conv = convective_hat(padded_bundle(u_hat, grid), grid)
     res_u = leray_hat(
-        params.rho * (u_hat - u_prev_hat) + tau * params.rho * conv
+        params.rho * (u_hat - prev.u_hat) + tau * params.rho * conv
         + tau * params.eta * lap * u_hat - tau * v_hat,
         grid,
     )

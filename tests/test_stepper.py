@@ -36,6 +36,32 @@ def test_state_invariants_enforced():
         StepState(VectorField(grid, d), VectorField(grid, mean_u))
 
 
+def test_each_level_is_transformed_once(monkeypatch):
+    """A state carries its level's read-only coefficients, so a warm-started
+    step transforms only the new level (stepper) and mu and v (ledger)."""
+    grid = GridSpec(2, 16, "exact")
+    prev = StepState(
+        perturbed_director(grid, seed=51, amplitude=0.1),
+        solenoidal(grid, seed=52, kcut=2, scale=0.1),
+    )
+    guess = StepState(prev.d, prev.u, prev.time)
+    calls = {"stepper": 0, "diagnostics": 0}
+    for module in calls:
+        def counted(values, dim, module=module):
+            calls[module] += 1
+            return fftn_norm(values, dim)
+        monkeypatch.setattr(f"nemflow.{module}.fftn_norm", counted)
+    params = ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3)
+    result = implicit_step(prev, params, PicardConfig(tol=1e-11), guess=guess)
+    assert calls == {"stepper": 2, "diagnostics": 2}
+
+    for state in (prev, result.state):
+        for f, f_hat in ((state.d, state.d_hat), (state.u, state.u_hat)):
+            assert np.array_equal(f_hat, fftn_norm(f.values, grid.dim))
+            with pytest.raises(ValueError):
+                f_hat[0, 0, 0] = 1.0
+
+
 def test_picard_config_validation():
     with pytest.raises(ValueError, match="tol"):
         PicardConfig(tol=0.0)
@@ -50,8 +76,8 @@ def test_equilibrium_is_fixed_point():
     state = _uniform_state(grid)
     params = ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3)
     result = implicit_step(state, params, PicardConfig(tol=1e-11))
-    assert result.iters == 1
-    assert result.residual == 0.0
+    assert result.ledger.picard_iters == 1
+    assert result.ledger.picard_residual == 0.0
     assert np.max(np.abs(result.state.d.values - state.d.values)) < 1e-12
     assert np.max(np.abs(result.state.u.values)) < 1e-12
     assert result.tau_used == params.tau
