@@ -16,10 +16,14 @@ Products are evaluated on the padded grid and truncated back, so each
 operator returns the Galerkin projection of the true quadratic product.  The
 coefficient-space operators take padded bundles only (operators.padded_bundle):
 callers that evaluate several products at one iterate pad each field once and
-share its bundle.
+share its bundle.  Each takes one or more argument pairs and truncates their
+summed padded products once, so the derivative of a product (two pairs with
+one argument replaced) costs a single truncation.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -27,39 +31,42 @@ from .fields import GridSpec, VectorField, fftn_norm, ifftn_norm
 from .operators import from_padded, padded_bundle
 
 Bundle = tuple[np.ndarray, np.ndarray]  # (padded samples, padded gradient samples)
+Pair = tuple[Bundle, Bundle]
 
 
-def extra_velocity_hat(mu_b: Bundle, d_b: Bundle, alpha: float, grid: GridSpec) -> np.ndarray:
-    """Coefficient-space extra velocity from the bundles of mu and d."""
-    mu_p, gmu_p = mu_b  # gmu_p[c, j] = d mu_c / dx_j
-    d_p, gd_p = d_b
-    div_mu = np.einsum("jj...->...", gmu_p)
-    div_d = np.einsum("jj...->...", gd_p)
-    # (mu . grad d)_i = sum_j mu_j d(d_j)/dx_i
-    term = np.einsum("j...,ji...->i...", mu_p, gd_p)
-    # div{mu (x) d}_i = (d . grad) mu_i + mu_i div d
-    term += alpha * (np.einsum("j...,ij...->i...", d_p, gmu_p) + mu_p * div_d)
-    # div{d (x) mu}_i = (mu . grad) d_i + d_i div mu
-    term -= (1.0 - alpha) * (np.einsum("j...,ij...->i...", mu_p, gd_p) + d_p * div_mu)
-    return from_padded(term, grid)
+def extra_velocity_hat(pairs: Iterable[Pair], alpha: float, grid: GridSpec) -> np.ndarray:
+    """Coefficient-space extra velocity, summed over (mu, d) bundle pairs."""
+    terms = []
+    for (mu_p, gmu_p), (d_p, gd_p) in pairs:  # gmu_p[c, j] = d mu_c / dx_j
+        div_mu = np.einsum("jj...->...", gmu_p)
+        div_d = np.einsum("jj...->...", gd_p)
+        # (mu . grad d)_i = sum_j mu_j d(d_j)/dx_i
+        term = np.einsum("j...,ji...->i...", mu_p, gd_p)
+        # div{mu (x) d}_i = (d . grad) mu_i + mu_i div d
+        term += alpha * (np.einsum("j...,ij...->i...", d_p, gmu_p) + mu_p * div_d)
+        # div{d (x) mu}_i = (mu . grad) d_i + d_i div mu
+        term -= (1.0 - alpha) * (np.einsum("j...,ij...->i...", mu_p, gd_p) + d_p * div_mu)
+        terms.append(term)
+    return from_padded(sum(terms[1:], terms[0]), grid)
 
 
-def director_transport_hat(d_b: Bundle, w_b: Bundle, alpha: float, grid: GridSpec) -> np.ndarray:
-    """Coefficient-space transport operator T(d, w) from the bundles of d and w."""
-    d_p, gd_p = d_b
-    w_p, gw_p = w_b
-    t = np.einsum("j...,ij...->i...", w_p, gd_p)
-    t -= alpha * np.einsum("ij...,j...->i...", gw_p, d_p)
-    t += (1.0 - alpha) * np.einsum("ji...,j...->i...", gw_p, d_p)
-    return from_padded(t, grid)
+def director_transport_hat(pairs: Iterable[Pair], alpha: float, grid: GridSpec) -> np.ndarray:
+    """Coefficient-space transport operator T(d, w), summed over (d, w) pairs."""
+    terms = []
+    for (d_p, gd_p), (w_p, gw_p) in pairs:
+        t = np.einsum("j...,ij...->i...", w_p, gd_p)
+        t -= alpha * np.einsum("ij...,j...->i...", gw_p, d_p)
+        t += (1.0 - alpha) * np.einsum("ji...,j...->i...", gw_p, d_p)
+        terms.append(t)
+    return from_padded(sum(terms[1:], terms[0]), grid)
 
 
-def convective_hat(u_b: Bundle, grid: GridSpec) -> np.ndarray:
-    """Coefficient-space convection (u . grad) u, dealiased; a bundle pairing
-    the samples of a with the gradient samples of b gives (a . grad) b."""
-    u_p, gu_p = u_b
-    c = np.einsum("j...,ij...->i...", u_p, gu_p)
-    return from_padded(c, grid)
+def convective_hat(bundles: Iterable[Bundle], grid: GridSpec) -> np.ndarray:
+    """Coefficient-space convection (u . grad) u, dealiased and summed over
+    bundles; a bundle pairing the samples of a with the gradient samples of b
+    gives (a . grad) b."""
+    terms = [np.einsum("j...,ij...->i...", u_p, gu_p) for u_p, gu_p in bundles]
+    return from_padded(sum(terms[1:], terms[0]), grid)
 
 
 def _bundle(f: VectorField, grid: GridSpec) -> Bundle:
@@ -80,7 +87,7 @@ def extra_velocity(
 ) -> VectorField:
     """v = mu . grad d + alpha div{mu (x) d} - (1 - alpha) div{d (x) mu}."""
     grid = _check_pair(mu, d, grid)
-    v = extra_velocity_hat(_bundle(mu, grid), _bundle(d, grid), alpha, grid)
+    v = extra_velocity_hat([(_bundle(mu, grid), _bundle(d, grid))], alpha, grid)
     return VectorField(grid, ifftn_norm(v, grid.dim))
 
 
@@ -89,6 +96,6 @@ def director_transport(
 ) -> VectorField:
     """T(d, w) = (w . grad) d - alpha (grad w) d + (1 - alpha) (grad^T w) d."""
     grid = _check_pair(d, w, grid)
-    t = director_transport_hat(_bundle(d, grid), _bundle(w, grid), alpha, grid)
+    t = director_transport_hat([(_bundle(d, grid), _bundle(w, grid))], alpha, grid)
     return VectorField(grid, ifftn_norm(t, grid.dim))
 

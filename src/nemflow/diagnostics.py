@@ -19,7 +19,7 @@ import numpy as np
 
 from .coupling import director_transport_hat
 from .energetics import ModelParams, total_energy_hat
-from .fields import GridSpec, VectorField, fftn_norm, ifftn_norm, laplace_symbol
+from .fields import GridSpec, VectorField, fftn_norm, ifftn_norm, laplace_symbol, parseval_sum
 from .operators import grad_hat, max_mode_divergence, padded_bundle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -63,8 +63,8 @@ class LengthStats(NamedTuple):
 def build_ledger(
     prev: "StepState",
     cur: "StepState",
-    mu: VectorField,
-    v_extra: VectorField,
+    mu_hat: np.ndarray,
+    v_hat: np.ndarray,
     params: ModelParams,
     *,
     picard_iters: int,
@@ -72,30 +72,28 @@ def build_ledger(
 ) -> EnergyLedger:
     """Assemble every term of the energy balance for the step prev -> cur.
 
-    Both levels' energies and the jumps come from the states' own
-    coefficients; only mu and the extra velocity are transformed here.  All
-    quadratic terms are Parseval sums; the well integral uses the same
-    dealiased quadrature as the stepper, so in exact mode the recorded slack
-    reduces to the (nonnegative) convexity gap plus solver residual.
+    Everything comes from coefficients, the states' own and the solver's
+    mu_hat and v_hat.  All quadratic terms are Parseval sums; the well
+    integral uses the same dealiased quadrature as the stepper, so in exact
+    mode the recorded slack reduces to the (nonnegative) convexity gap plus
+    solver residual.
     """
     grid = cur.grid
     tau = params.tau
     d_hat, u_hat, dp_hat, up_hat = cur.d_hat, cur.u_hat, prev.d_hat, prev.u_hat
-    mu_hat = fftn_norm(mu.values, grid.dim)
-    v_hat = fftn_norm(v_extra.values, grid.dim)
     energy = total_energy_hat(d_hat, u_hat, params, grid)
     prev_total = total_energy_hat(dp_hat, up_hat, params, grid).total
 
     g = grad_hat(u_hat, grid)
     sym = 0.5 * (g + np.swapaxes(g, 0, 1))
-    d_visc = 2.0 * params.eta * tau * float(np.sum(np.abs(sym) ** 2))
-    d_friction = tau * float(np.sum(np.abs(v_hat) ** 2))
-    d_eps = params.epsilon * tau * float(np.sum(np.abs(mu_hat) ** 2))
+    d_visc = 2.0 * params.eta * tau * parseval_sum(np.abs(sym) ** 2)
+    d_friction = tau * parseval_sum(np.abs(v_hat) ** 2)
+    d_eps = params.epsilon * tau * parseval_sum(np.abs(mu_hat) ** 2)
 
     dd = d_hat - dp_hat
-    j_grad = 0.5 * float(np.sum(laplace_symbol(grid) * np.abs(dd) ** 2))
-    j_d = float(np.sum(np.abs(dd) ** 2)) / (2.0 * params.gamma)
-    j_u = 0.5 * params.rho * float(np.sum(np.abs(u_hat - up_hat) ** 2))
+    j_grad = 0.5 * parseval_sum(laplace_symbol(grid) * np.abs(dd) ** 2)
+    j_d = parseval_sum(np.abs(dd) ** 2) / (2.0 * params.gamma)
+    j_u = 0.5 * params.rho * parseval_sum(np.abs(u_hat - up_hat) ** 2)
 
     slack = prev_total - energy.total - (d_visc + d_friction + d_eps + j_grad + j_d + j_u)
 
@@ -143,7 +141,7 @@ def director_length_stats(d: VectorField) -> LengthStats:
 def h2_diagnostic(d_hat: np.ndarray, grid: GridSpec) -> float:
     """L2 norm of the spectral Laplacian of d, from its coefficients d_hat
     (H^2 seminorm surrogate)."""
-    return float(np.sqrt(np.sum(laplace_symbol(grid) ** 2 * np.abs(d_hat) ** 2)))
+    return float(np.sqrt(parseval_sum(laplace_symbol(grid) ** 2 * np.abs(d_hat) ** 2)))
 
 
 def transport_only_run(
@@ -160,7 +158,7 @@ def transport_only_run(
     d_hat = fftn_norm(d0.values, grid.dim)
 
     def rhs(dh):
-        return -director_transport_hat(padded_bundle(dh, grid), w_b, alpha, grid)
+        return -director_transport_hat([(padded_bundle(dh, grid), w_b)], alpha, grid)
 
     for _ in range(steps):
         k1 = rhs(d_hat)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import GridSpec, VectorField, fftn_norm, ifftn_norm, laplace_symbol
+from .fields import GridSpec, VectorField, fftn_norm, ifftn_norm, laplace_symbol, parseval_sum
 from .operators import band_limit_hat, from_padded, to_padded
 
 
@@ -94,11 +94,11 @@ def well_integral_hat(d_hat: np.ndarray, grid: GridSpec, gamma: float) -> float:
 
 def elastic_energy_hat(d_hat: np.ndarray, grid: GridSpec) -> float:
     """(1/2) integral of |grad d|^2 via the Parseval sum."""
-    return 0.5 * float(np.sum(laplace_symbol(grid) * np.abs(d_hat) ** 2))
+    return 0.5 * parseval_sum(laplace_symbol(grid) * np.abs(d_hat) ** 2)
 
 
 def kinetic_energy_hat(u_hat: np.ndarray, rho: float) -> float:
-    return 0.5 * rho * float(np.sum(np.abs(u_hat) ** 2))
+    return 0.5 * rho * parseval_sum(np.abs(u_hat) ** 2)
 
 
 def total_energy_hat(

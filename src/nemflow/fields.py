@@ -2,10 +2,15 @@
 
 The solver works on the torus [0,1)^dim with n equispaced samples per axis.
 Fourier coefficients are normalised so the k=0 coefficient equals the mean of
-the samples; all mode bookkeeping uses numpy's fft layout.  The retained
-trigonometric space excludes the Nyquist column (|k_j| = n/2): derivatives of
-the unpaired Nyquist mode are ill-defined on an even grid, so projections zero
-it and differential operators ignore it.
+the samples.  Fields are real, so a spectrum is stored in numpy's rfftn half
+layout (c, n, ..., n, n//2 + 1): fft order on every axis but the last, which
+keeps only the wavenumbers 0..n/2, as a mode's mirror -k holds the conjugate
+coefficient.  Full-spectrum sums therefore weight each column by its Parseval
+weight: 2 for the columns that also stand for their mirrors, 1 for column 0
+and the Nyquist column n/2, whose modes pair up within the column.  The
+retained trigonometric space excludes the Nyquist slots (|k_j| = n/2):
+derivatives of the unpaired Nyquist mode are ill-defined on an even grid, so
+projections zero it and differential operators ignore it.
 """
 
 from __future__ import annotations
@@ -71,18 +76,21 @@ def integer_modes(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def deriv_modes(n: int) -> np.ndarray:
-    """Wavenumbers used for differentiation; the Nyquist slot is zeroed."""
-    k = integer_modes(n).astype(np.float64).copy()
-    k[n // 2] = 0.0
-    return _freeze(k)
+def integer_wavevectors(grid: GridSpec) -> np.ndarray:
+    """Integer wavenumber vectors on the half layout, shape
+    (dim, n, ..., n, n//2 + 1); a Nyquist slot reads -n/2."""
+    k1 = integer_modes(grid.n)
+    axes = [k1] * (grid.dim - 1) + [k1[: grid.n // 2 + 1]]
+    return _freeze(np.stack(np.meshgrid(*axes, indexing="ij")))
 
 
 @lru_cache(maxsize=None)
 def wavevectors(grid: GridSpec) -> np.ndarray:
-    """Derivative wavenumber vectors, shape (dim, n, ..., n)."""
-    k1 = deriv_modes(grid.n)
-    return _freeze(np.stack(np.meshgrid(*([k1] * grid.dim), indexing="ij")))
+    """Derivative wavenumber vectors: the integer ones with every Nyquist
+    slot zeroed."""
+    k = integer_wavevectors(grid).astype(np.float64)
+    k[k == -(grid.n // 2)] = 0.0
+    return _freeze(k)
 
 
 @lru_cache(maxsize=None)
@@ -142,21 +150,15 @@ class TensorField:
 
 
 def fftn_norm(values: np.ndarray, dim: int) -> np.ndarray:
-    """Forward transform over the trailing dim axes, k=0 coefficient = mean."""
-    axes = tuple(range(-dim, 0))
-    npts = 1
-    for ax in axes:
-        npts *= values.shape[ax]
-    return np.fft.fftn(values, axes=axes) / npts
+    """Half-layout coefficients of real samples over the trailing dim axes,
+    k=0 coefficient = mean."""
+    return np.fft.rfftn(values, axes=tuple(range(-dim, 0)), norm="forward")
 
 
 def ifftn_norm(coeffs: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of fftn_norm; returns real samples."""
-    axes = tuple(range(-dim, 0))
-    npts = 1
-    for ax in axes:
-        npts *= coeffs.shape[ax]
-    return np.fft.ifftn(coeffs * npts, axes=axes).real
+    """Inverse of fftn_norm; returns real samples on the n-grid."""
+    n = coeffs.shape[-2]
+    return np.fft.irfftn(coeffs, s=(n,) * dim, axes=tuple(range(-dim, 0)), norm="forward")
 
 
 def l2_inner(f: VectorField, g: VectorField) -> float:
@@ -174,6 +176,13 @@ def l2_norm(f: VectorField) -> float:
     return float(np.sqrt(max(l2_inner(f, f), 0.0)))
 
 
+def parseval_sum(density: np.ndarray) -> float:
+    """Full-spectrum sum of a real per-mode density given on the half layout
+    (a mode and its mirror carry the same density): every column counts
+    twice but column 0 and the Nyquist column, which count once."""
+    return float(2.0 * np.sum(density) - np.sum(density[..., 0]) - np.sum(density[..., -1]))
+
+
 def spectral_l2_norm(coeffs: np.ndarray) -> float:
-    """L2 norm of the field represented by normalised coefficients."""
-    return float(np.sqrt(np.sum(np.abs(coeffs) ** 2)))
+    """L2 norm of the field represented by half-layout coefficients."""
+    return float(np.sqrt(parseval_sum(np.abs(coeffs) ** 2)))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import GridSpec, VectorField, fftn_norm, ifftn_norm, integer_modes
+from .fields import GridSpec, VectorField, fftn_norm, ifftn_norm, integer_wavevectors
 from .operators import band_limit_hat, leray_hat
 from .stepper import StepState
 
@@ -35,12 +35,7 @@ def _band_limited_noise(rng: np.random.Generator, grid: GridSpec, components: in
     raw = rng.normal(size=(components, *grid.shape))
     coeffs = fftn_norm(raw, grid.dim)
     kcut = min(kcut, grid.n // 2 - 1)
-    k = np.abs(integer_modes(grid.n))
-    mask = np.ones(grid.shape, dtype=bool)
-    for axis in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[axis] = grid.n
-        mask &= k.reshape(shape) <= kcut
+    mask = np.all(np.abs(integer_wavevectors(grid)) <= kcut, axis=0)
     return ifftn_norm(coeffs * mask, grid.dim)
 
 

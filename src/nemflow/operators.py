@@ -13,11 +13,13 @@ lines that carry retained modes: each line that is run gets the same 1D
 transform, in the same axis order, as numpy's irfftn/rfftn, so the results
 are bit-for-bit those of the full transforms.  Spectra move between the
 n-grid and the padded grid by a few slice copies per axis; the band limit and
-the Leray projection zero the Nyquist slots with one slice per axis.
+the Leray projection zero the Nyquist slots with one slice per axis, and
+project_real also makes the one plane of the half layout that holds both k
+and -k exactly Hermitian.
 
-Internal helpers operate on raw coefficient arrays with an arbitrary number of
-leading axes followed by grid.dim spatial axes; the typed wrappers work on
-VectorField/TensorField.
+Internal helpers operate on raw half-layout coefficient arrays (fields) with
+any number of leading axes followed by grid.dim spectral axes; the typed
+wrappers work on VectorField/TensorField.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def grad_hat(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def _zero_nyquist(coeffs: np.ndarray, dim: int) -> np.ndarray:
     """Zero the Nyquist slot of each of the trailing dim axes in place."""
-    n = coeffs.shape[-1]
+    n = coeffs.shape[-2]
     for axis in range(dim):
         coeffs[(Ellipsis, n // 2) + (slice(None),) * axis] = 0.0
     return coeffs
@@ -119,8 +121,8 @@ def padded_size(grid: GridSpec, degree: int) -> int:
 def to_padded(coeffs: np.ndarray, grid: GridSpec, degree: int) -> np.ndarray:
     """Real samples of the interpolant on the grid padded for the degree.
 
-    The staging half spectrum holds only the n//2 + 1 columns that carry
-    modes; in 3D the axis -3 transform runs only on the rows of axis -2 that
+    The staging half spectrum holds the n//2 + 1 columns of the half layout;
+    in 3D the axis -3 transform runs only on the rows of axis -2 that
     carry modes, and the final irfft zero-fills the remaining columns.  On a
     larger grid the unpaired Nyquist coefficient is split half-and-half onto
     the +n/2 and -n/2 slots of each axis, which reproduces the symmetric real
@@ -138,7 +140,7 @@ def to_padded(coeffs: np.ndarray, grid: GridSpec, degree: int) -> np.ndarray:
         blocks = ((slice(0, h), slice(0, h)), (slice(n // 2, n), slice(m - n // 2, m)))
     for pairs in itertools.product(blocks, repeat=dim - 1):
         src, dst = zip(*pairs)
-        half[(Ellipsis,) + dst + (slice(None),)] = coeffs[(Ellipsis,) + src + (slice(0, h),)]
+        half[(Ellipsis,) + dst + (slice(None),)] = coeffs[(Ellipsis,) + src + (slice(None),)]
     if m > n:
         half[..., n // 2] *= 0.5
         for axis in range(1, dim):
@@ -152,14 +154,33 @@ def to_padded(coeffs: np.ndarray, grid: GridSpec, degree: int) -> np.ndarray:
     return np.fft.irfft(half, m, axis=-1, norm="forward")
 
 
+def project_real(coeffs: np.ndarray, dim: int) -> np.ndarray:
+    """Project a half spectrum in place onto the retained space of real
+    fields: zero the Nyquist slots and make the k_last = 0 plane, which holds
+    both k and -k, exactly Hermitian (each mode whose last non-zero
+    wavenumber is negative is the conjugate of its mirror, k = 0 is real)."""
+    n = coeffs.shape[-2]
+    # the mirror of slot i is (-i) % n: slot 0, then [n-1:0:-1]
+    mirror = ((slice(0, 1), slice(0, 1)), (slice(1, n), slice(n - 1, 0, -1)))
+    for axis in range(dim - 2, -1, -1):
+        # modes whose last non-zero wavenumber is on this axis and negative
+        zero = (0,) * (dim - 1 - axis)
+        for pairs in itertools.product(mirror, repeat=axis):
+            dst, src = tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
+            np.conjugate(
+                coeffs[(Ellipsis,) + src + (slice(n // 2 - 1, 0, -1),) + zero],
+                out=coeffs[(Ellipsis,) + dst + (slice(n // 2 + 1, n),) + zero],
+            )
+    coeffs[(Ellipsis,) + (0,) * dim].imag = 0.0
+    return _zero_nyquist(coeffs, dim)
+
+
 def from_padded(values_padded: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Coefficients of the band-limited projection of padded-grid samples.
+    """Half-layout coefficients of the band-limited projection of padded-grid
+    samples, through project_real.
 
     Only the retained columns are carried past the rfft, and in 3D the axis -3
-    transform runs only on the retained rows of axis -2.  The retained modes
-    with a non-negative last non-zero wavenumber are copied from the FFT
-    output; every other one is the conjugate of its mirror -k, so the result
-    is exactly Hermitian, and the Nyquist slots are zero.
+    transform runs only on the retained rows of axis -2.
     """
     n, dim = grid.n, grid.dim
     m = values_padded.shape[-1]
@@ -172,22 +193,11 @@ def from_padded(values_padded: np.ndarray, grid: GridSpec) -> np.ndarray:
         for _, r in blocks:
             block = half[..., r, :]
             np.fft.fft(block, axis=-3, norm="forward", out=block)
-    out = np.zeros(values_padded.shape[:-dim] + grid.shape, dtype=np.complex128)
+    out = np.zeros(values_padded.shape[:-dim] + grid.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
     for pairs in itertools.product(blocks, repeat=dim - 1):
         dst, src = zip(*pairs)
         out[(Ellipsis,) + dst + (slice(0, n // 2),)] = half[(Ellipsis,) + src + (slice(None),)]
-    # the mirror of slot i is (-i) % n: slot 0, then [n-1:0:-1]
-    mirror = ((slice(0, 1), slice(0, 1)), (slice(1, n), slice(n - 1, 0, -1)))
-    for axis in range(dim - 1, -1, -1):
-        # modes whose last non-zero wavenumber is on this axis and negative
-        zero = (0,) * (dim - 1 - axis)
-        for pairs in itertools.product(mirror, repeat=axis):
-            dst, src = tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
-            np.conjugate(
-                out[(Ellipsis,) + src + (slice(n // 2 - 1, 0, -1),) + zero],
-                out=out[(Ellipsis,) + dst + (slice(n // 2 + 1, n),) + zero],
-            )
-    return _zero_nyquist(out, dim)
+    return project_real(out, dim)
 
 
 def padded_gradient(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -13,7 +13,7 @@ from pathlib import Path
 from .config import RunConfig
 from .diagnostics import check_energy_inequality, director_length_stats, h2_diagnostic
 from .energetics import total_energy_hat
-from .fields import NonFiniteError, VectorField, fftn_norm, ifftn_norm
+from .fields import NonFiniteError
 from .initial import initial_condition
 from .operators import leray_hat, max_mode_divergence
 from .snapshots import write_snapshot
@@ -79,11 +79,8 @@ def _extrapolated_guess(state: StepState, prev: StepState | None) -> StepState |
     if prev is None:
         return None
     grid = state.grid
-    d = 2.0 * state.d.values - prev.d.values
-    u_hat = leray_hat(fftn_norm(2.0 * state.u.values - prev.u.values, grid.dim), grid)
-    return StepState(
-        VectorField(grid, d), VectorField(grid, ifftn_norm(u_hat, grid.dim)), state.time
-    )
+    u_hat = leray_hat(2.0 * state.u_hat - prev.u_hat, grid)
+    return StepState.from_coefficients(grid, 2.0 * state.d_hat - prev.d_hat, u_hat, state.time)
 
 
 def run_simulation(cfg: RunConfig) -> RunReport:

@@ -36,6 +36,7 @@ from .fields import (
     fftn_norm,
     ifftn_norm,
     laplace_symbol,
+    parseval_sum,
     spectral_l2_norm,
     wavevectors,
 )
@@ -46,6 +47,7 @@ from .operators import (
     max_mode_divergence,
     padded_bundle,
     padded_size,
+    project_real,
     to_padded,
 )
 
@@ -58,17 +60,17 @@ class PicardDivergenceError(RuntimeError):
 class StepState:
     """One time level (d, u); u is solenoidal with zero mean.
 
-    The level's Fourier coefficients d_hat and u_hat (fftn_norm of the
-    samples, read-only) are computed once, on construction; the stepper, the
-    ledger and the runner's diagnostics read them instead of transforming
-    the samples again.
+    The level's half-layout coefficients d_hat and u_hat (read-only) are
+    transformed from the samples once, on construction, or kept from the
+    solver (from_coefficients); the stepper, the ledger and the runner's
+    diagnostics read them instead of the samples.
     """
 
     d: VectorField
     u: VectorField
     time: float = 0.0
-    d_hat: np.ndarray = field(init=False, repr=False, compare=False)
-    u_hat: np.ndarray = field(init=False, repr=False, compare=False)
+    d_hat: np.ndarray | None = field(default=None, repr=False, compare=False)
+    u_hat: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         grid = self.d.grid
@@ -76,18 +78,28 @@ class StepState:
             raise ValueError("d and u live on different grids")
         if self.d.components != grid.dim or self.u.components != grid.dim:
             raise ValueError("state fields need dim components")
-        object.__setattr__(self, "d_hat", _freeze(fftn_norm(self.d.values, grid.dim)))
-        u_hat = _freeze(fftn_norm(self.u.values, grid.dim))
-        object.__setattr__(self, "u_hat", u_hat)
-        unorm = spectral_l2_norm(u_hat)
-        if max_mode_divergence(u_hat, grid) > 1e-12 * (1.0 + unorm):
+        for name, f in (("d_hat", self.d), ("u_hat", self.u)):
+            coeffs = getattr(self, name)
+            if coeffs is None:
+                coeffs = fftn_norm(f.values, grid.dim)
+            object.__setattr__(self, name, _freeze(coeffs))
+        unorm = spectral_l2_norm(self.u_hat)
+        if max_mode_divergence(self.u_hat, grid) > 1e-12 * (1.0 + unorm):
             raise ValueError("u is not solenoidal to spectral tolerance")
-        if np.max(np.abs(u_hat[(slice(None),) + (0,) * grid.dim])) > 1e-14 * (1.0 + unorm):
+        if np.max(np.abs(self.u_hat[(slice(None),) + (0,) * grid.dim])) > 1e-14 * (1.0 + unorm):
             raise ValueError("u does not have zero mean")
 
     @property
     def grid(self) -> GridSpec:
         return self.d.grid
+
+    @staticmethod
+    def from_coefficients(grid: GridSpec, d_hat: np.ndarray, u_hat: np.ndarray,
+                          time: float) -> "StepState":
+        """The level with these half-layout coefficients, which it freezes and
+        keeps; its samples are their inverse transforms."""
+        return StepState(VectorField(grid, ifftn_norm(d_hat, grid.dim)),
+                         VectorField(grid, ifftn_norm(u_hat, grid.dim)), time, d_hat, u_hat)
 
 
 @dataclass(frozen=True)
@@ -159,6 +171,8 @@ class _Workspace:
     balance, and the transport block coupling back.  One damped sweep is the
     preconditioned update x -> x - theta * G^{-1} F(x) with F the exact
     nonlinear residual, so converged iterates solve the unmodified scheme.
+    The symbol at -k is the conjugate of that at k, so only the modes of
+    the half layout get a block.
     """
 
     def __init__(self, grid: GridSpec, params: ModelParams, tau: float,
@@ -220,11 +234,11 @@ class _Workspace:
         mu = band_limit_hat(self.lap * d_hat + fp - self.d_prev / p.gamma, grid)
         mu_b = padded_bundle(mu, grid)
         u_b = padded_bundle(u_hat, grid)
-        v = extra_velocity_hat(mu_b, d_b, p.alpha, grid)
+        v = extra_velocity_hat([(mu_b, d_b)], p.alpha, grid)
         v_b = padded_bundle(v, grid)
         w_b = (u_b[0] + v_b[0], u_b[1] + v_b[1])
-        transport = director_transport_hat(d_b, w_b, p.alpha, grid)
-        conv = convective_hat(u_b, grid)
+        transport = director_transport_hat([(d_b, w_b)], p.alpha, grid)
+        conv = convective_hat([u_b], grid)
         self._finite(mu, v, transport, conv)
         return _Terms(mu, v, transport, conv, d_b, mu_b, w_b, u_b, d3_p)
 
@@ -233,7 +247,8 @@ class _Workspace:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Exact directional derivative of the residual map at the iterate
         underlying t.  All product operators are bilinear, so the derivative
-        is a sum of the same operators with one argument replaced."""
+        is a sum of the same operators with one argument replaced, and each
+        such sum is truncated once."""
         p, grid, tau = self.params, self.grid, self.tau
         dd_b = padded_bundle(delta_d, grid)
         dd3_p = dd_b[0] if self.cubic_on_bundle_grid else to_padded(delta_d, grid, degree=3)
@@ -246,14 +261,11 @@ class _Workspace:
         dmu = band_limit_hat(self.lap * delta_d + dfp, grid)
         dmu_b = padded_bundle(dmu, grid)
         du_b = padded_bundle(delta_u, grid)
-        dv = extra_velocity_hat(dmu_b, t.d_b, p.alpha, grid) \
-            + extra_velocity_hat(t.mu_b, dd_b, p.alpha, grid)
+        dv = extra_velocity_hat([(dmu_b, t.d_b), (t.mu_b, dd_b)], p.alpha, grid)
         dv_b = padded_bundle(dv, grid)
         dw_b = (du_b[0] + dv_b[0], du_b[1] + dv_b[1])
-        dtrans = director_transport_hat(dd_b, t.w_b, p.alpha, grid) \
-            + director_transport_hat(t.d_b, dw_b, p.alpha, grid)
-        dconv = convective_hat((du_b[0], t.u_b[1]), grid) \
-            + convective_hat((t.u_b[0], du_b[1]), grid)
+        dtrans = director_transport_hat([(dd_b, t.w_b), (t.d_b, dw_b)], p.alpha, grid)
+        dconv = convective_hat([(du_b[0], t.u_b[1]), (t.u_b[0], du_b[1])], grid)
         df_d = delta_d + tau * dtrans + p.epsilon * tau * dmu
         df_u = leray_hat(
             p.rho * delta_u + tau * p.rho * dconv
@@ -277,56 +289,54 @@ class _Workspace:
         ru = spectral_l2_norm(r_u) / (1.0 + spectral_l2_norm(u_hat))
         return rd, ru
 
-    def precondition(self, r_d: np.ndarray, r_u: np.ndarray) -> np.ndarray:
-        """G^{-1} applied to stacked residual fields, then projected back to
-        the retained (band-limited, solenoidal) space; returns a flat vector."""
-        dim = self.grid.dim
-        rhs = np.concatenate([r_d.reshape(dim, -1), r_u.reshape(dim, -1)], axis=0).T
-        raw = np.einsum("mij,mj->mi", self.block_inv, rhs).T.ravel()
-        return self.join(*self.split(raw))
-
-    def precondition_vec(self, y: np.ndarray) -> np.ndarray:
-        dim = self.grid.dim
-        shape = (dim, *self.grid.shape)
-        half = dim * self.grid.npoints
-        return self.precondition(y[:half].reshape(shape), y[half:].reshape(shape))
+    def precondition_vec(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """G^{-1} applied to an iterate vector of residual fields, then split
+        (projected back to the retained space)."""
+        raw = np.einsum("mij,jm->im", self.block_inv, y.reshape(y.shape[0], -1))
+        return self.split(raw.reshape(y.shape))
 
     def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Flat iterate vector -> projected (d_hat, u_hat) coefficient arrays."""
+        """Iterate vector -> (d_hat, u_hat) projected onto the retained
+        (band-limited, solenoidal, real) space."""
         dim = self.grid.dim
-        shape = (dim, *self.grid.shape)
-        half = dim * self.grid.npoints
-        d_hat = band_limit_hat(x[:half].reshape(shape), self.grid)
-        u_hat = leray_hat(x[half:].reshape(shape), self.grid)
+        d_hat = project_real(x[:dim].copy(), dim)
+        u_hat = project_real(leray_hat(x[dim:], self.grid), dim)
         return d_hat, u_hat
 
     @staticmethod
     def join(d_hat: np.ndarray, u_hat: np.ndarray) -> np.ndarray:
-        return np.concatenate([d_hat.ravel(), u_hat.ravel()])
+        return np.concatenate([d_hat, u_hat])
 
 
 def _gmres(matvec, b: np.ndarray, rel_tol: float, max_inner: int) -> np.ndarray:
-    """Matrix-free GMRES on flat complex vectors, no restarts.
+    """Matrix-free GMRES on iterate vectors of real fields, no restarts.
 
-    The Arnoldi least squares is re-solved densely each iteration on the
+    The operator is only real-linear, so under the Parseval-weighted L2 inner
+    product (a numpy sum, not a BLAS call, so the result does not depend on
+    the BLAS thread count) the Hessenberg matrix and its least squares are
+    real.  That least squares is re-solved densely each iteration on the
     leading block of one preallocated Hessenberg array; with a couple dozen
     inner iterations at most, that costs nothing next to the matvecs and
     avoids rotation bookkeeping.
     """
-    norm_b = np.linalg.norm(b)
+
+    def dot(p: np.ndarray, q: np.ndarray) -> float:
+        return parseval_sum((np.conj(p) * q).real)
+
+    norm_b = np.sqrt(dot(b, b))
     if norm_b == 0.0:
         return np.zeros_like(b)
     basis = [b / norm_b]
-    h = np.zeros((max_inner + 1, max_inner), dtype=np.complex128)
-    e1 = np.zeros(max_inner + 1, dtype=np.complex128)
+    h = np.zeros((max_inner + 1, max_inner))
+    e1 = np.zeros(max_inner + 1)
     e1[0] = norm_b
-    y = np.zeros(0, dtype=np.complex128)
+    y = np.zeros(0)
     for k in range(max_inner):
         w = matvec(basis[k])
         for i in range(k + 1):
-            h[i, k] = np.vdot(basis[i], w)
+            h[i, k] = dot(basis[i], w)
             w = w - h[i, k] * basis[i]
-        h[k + 1, k] = np.linalg.norm(w)
+        h[k + 1, k] = np.sqrt(dot(w, w))
         hk, ek = h[: k + 2, : k + 1], e1[: k + 2]
         y, *_ = np.linalg.lstsq(hk, ek, rcond=None)
         lucky = h[k + 1, k] <= 1e-14 * norm_b
@@ -376,14 +386,12 @@ def _picard_attempt(ws: _Workspace, cfg: PicardConfig):
         d_hat, u_hat, t, r_d, r_u = payload
 
         def matvec(y):
-            delta_d, delta_u = ws.split(ws.precondition_vec(y))
-            jd, ju = ws.jacobian_action(t, delta_d, delta_u)
-            return ws.join(jd, ju)
+            return ws.join(*ws.jacobian_action(t, *ws.precondition_vec(y)))
 
         rhs = ws.join(r_d, r_u)
         forcing = min(0.5, max(np.sqrt(res) * 0.3, 3.0 * cfg.tol / max(res, cfg.tol)))
         y = _gmres(matvec, rhs, forcing, max_inner=24)
-        step = ws.precondition_vec(y)
+        step = ws.join(*ws.precondition_vec(y))
 
         theta = cfg.damping
         accepted = False
@@ -453,12 +461,11 @@ def implicit_step(
             raise PicardDivergenceError("Picard iteration stalled down to tau_min")
 
     d_hat, u_hat, t, iters, res = out
-    state = StepState(VectorField(grid, ifftn_norm(d_hat, grid.dim)),
-                      VectorField(grid, ifftn_norm(u_hat, grid.dim)), time=prev.time + tau)
+    state = StepState.from_coefficients(grid, d_hat, u_hat, prev.time + tau)
     mu = VectorField(grid, ifftn_norm(t.mu, grid.dim))
     v_extra = VectorField(grid, ifftn_norm(t.v, grid.dim))
     used = replace(params, tau=tau)
-    ledger = build_ledger(prev, state, mu, v_extra, used, picard_iters=iters, picard_residual=res)
+    ledger = build_ledger(prev, state, t.mu, t.v, used, picard_iters=iters, picard_residual=res)
     return StepResult(state, mu, v_extra, ledger, tau)
 
 
@@ -485,14 +492,14 @@ def residual_fully_implicit(
     r_mu = spectral_l2_norm(mu_hat - mu_def) / (1.0 + spectral_l2_norm(mu_hat))
 
     d_b = padded_bundle(d_hat, grid)
-    v_hat = extra_velocity_hat(padded_bundle(mu_hat, grid), d_b, params.alpha, grid)
+    v_hat = extra_velocity_hat([(padded_bundle(mu_hat, grid), d_b)], params.alpha, grid)
     w_b = padded_bundle(u_hat + v_hat, grid)
-    transport = director_transport_hat(d_b, w_b, params.alpha, grid)
+    transport = director_transport_hat([(d_b, w_b)], params.alpha, grid)
     res_d = d_hat - prev.d_hat + tau * transport + eps * tau * mu_hat
     r_d = spectral_l2_norm(res_d) / (1.0 + spectral_l2_norm(d_hat))
 
     lap = laplace_symbol(grid)
-    conv = convective_hat(padded_bundle(u_hat, grid), grid)
+    conv = convective_hat([padded_bundle(u_hat, grid)], grid)
     res_u = leray_hat(
         params.rho * (u_hat - prev.u_hat) + tau * params.rho * conv
         + tau * params.eta * lap * u_hat - tau * v_hat,

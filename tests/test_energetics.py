@@ -148,12 +148,13 @@ def test_dissipation_rate_examples(grid):
     params = ModelParams(eta=0.7, tau=1e-3)
     zero = VectorField.zeros(grid, 2)
     rest = StepState(zero, zero)
-    led = build_ledger(rest, rest, zero, zero, params, picard_iters=0, picard_residual=0.0)
+    zero_hat = rest.d_hat
+    led = build_ledger(rest, rest, zero_hat, zero_hat, params, picard_iters=0, picard_residual=0.0)
     assert led.d_visc == 0.0 and led.d_friction == 0.0
 
     c = np.zeros((2, 8, 8))
     c[0], c[1] = 0.3, -0.4
-    led = build_ledger(rest, rest, zero, VectorField(grid, c), params,
+    led = build_ledger(rest, rest, zero_hat, fftn_norm(c, grid.dim), params,
                        picard_iters=0, picard_residual=0.0)
     assert led.d_visc == 0.0
     assert led.d_friction == pytest.approx(0.25 * params.tau, abs=1e-17)
@@ -166,8 +167,8 @@ def test_dissipation_rate_matches_quadrature(grid):
     u = solenoidal(grid, seed=11)
     v = band_limited(grid, 2, seed=12)
     zero = VectorField.zeros(grid, 2)
-    led = build_ledger(StepState(zero, zero), StepState(zero, u), zero, v, params,
-                       picard_iters=0, picard_residual=0.0)
+    led = build_ledger(StepState(zero, zero), StepState(zero, u), StepState(zero, zero).d_hat,
+                       fftn_norm(v.values, grid.dim), params, picard_iters=0, picard_residual=0.0)
 
     g = gradient(u).values
     du = 0.5 * (g + np.swapaxes(g, 0, 1))

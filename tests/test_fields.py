@@ -8,6 +8,8 @@ from nemflow.fields import (
     fftn_norm,
     ifftn_norm,
     l2_inner,
+    parseval_sum,
+    spectral_l2_norm,
 )
 from nemflow.operators import padded_size
 from util import band_limited
@@ -95,9 +97,14 @@ def test_roundtrip_matches_direct_dft_sum():
 def test_parseval(dim, n):
     grid = GridSpec(dim, n)
     f = band_limited(grid, 2, seed=5)
-    spectral = float(np.sum(np.abs(fftn_norm(f.values, dim)) ** 2))
+    coeffs = fftn_norm(f.values, dim)
+    # the half layout's Parseval sum equals the full spectrum's plain sum
+    full = np.fft.fftn(f.values, axes=tuple(range(-dim, 0))) / grid.npoints
+    spectral = parseval_sum(np.abs(coeffs) ** 2)
     real = l2_inner(f, f)
+    assert spectral == pytest.approx(float(np.sum(np.abs(full) ** 2)), rel=1e-12)
     assert real == pytest.approx(spectral, rel=1e-12)
+    assert spectral_l2_norm(coeffs) ** 2 == pytest.approx(real, rel=1e-12)
 
 
 def test_inner_product_grid_mismatch():

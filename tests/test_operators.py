@@ -217,12 +217,21 @@ def _dense_interpolant(coeffs, n, m, dim):
     return out
 
 
-def _mirror(coeffs, grid):
-    """coeffs(-k) in fft layout."""
-    out = coeffs
-    for ax in range(-grid.dim, 0):
-        out = np.take(out, (-np.arange(grid.n)) % grid.n, axis=ax)
-    return out
+def _mirror(coeffs, n, axes):
+    """coeffs(-k) along the given fft-layout axes."""
+    for ax in axes:
+        coeffs = np.take(coeffs, (-np.arange(n)) % n, axis=ax)
+    return coeffs
+
+
+def _full_spectrum(half, n, dim):
+    """fft-layout spectrum of a real field from its half layout: column n - j
+    holds the conjugate of column j at the mirrored wavenumbers."""
+    full = np.zeros(half.shape[:-1] + (n,), dtype=np.complex128)
+    full[..., : n // 2 + 1] = half
+    mirrored = _mirror(half, n, range(-dim, -1))
+    full[..., n // 2 + 1:] = np.conj(mirrored[..., n // 2 - 1:0:-1])
+    return full
 
 
 PADDED_CASES = [
@@ -241,7 +250,7 @@ def test_to_padded_matches_dense_interpolant(dim, mode, degree):
     for lead in ((3,), (3, 3)):
         # coefficients of white noise carry Nyquist content on every axis
         coeffs = fftn_norm(rng.standard_normal(lead + grid.shape), dim)
-        want = _dense_interpolant(coeffs, grid.n, m, dim)
+        want = _dense_interpolant(_full_spectrum(coeffs, grid.n, dim), grid.n, m, dim)
         got = to_padded(coeffs, grid, degree)
         assert got.shape == lead + (m,) * dim
         assert np.max(np.abs(want.imag)) < 1e-13
@@ -263,7 +272,8 @@ def test_from_padded_is_exactly_hermitian(dim, mode):
     rng = np.random.default_rng(dim)
     samples = rng.standard_normal((3,) + (padded_size(grid, 4),) * dim)
     coeffs = from_padded(samples, grid)
-    assert np.array_equal(_mirror(coeffs, grid), np.conj(coeffs))
+    plane = coeffs[..., 0]  # the only plane of the half layout holding both k and -k
+    assert np.array_equal(_mirror(plane, grid.n, range(1 - dim, 0)), np.conj(plane))
     assert np.all(coeffs[..., nyquist_mask(grid)] == 0.0)
 
 
@@ -275,7 +285,7 @@ def _full_pass_to_padded(coeffs, grid, m):
     for axis in range(-1, -dim - 1, -1):
         c = np.moveaxis(half, axis, 0)
         out = np.zeros((m // 2 + 1 if axis == -1 else m,) + c.shape[1:], dtype=np.complex128)
-        for j, k in enumerate(integer_modes(n)):
+        for j, k in enumerate(integer_modes(n)[: c.shape[0]]):
             if abs(k) == n // 2 and m > n:
                 for slot in (n // 2, m - n // 2):
                     if slot < out.shape[0]:
@@ -288,15 +298,18 @@ def _full_pass_to_padded(coeffs, grid, m):
 
 def _full_pass_from_padded(samples, grid):
     """Reference: rfftn of the padded samples, then a gather of the retained
-    modes, reading a mode whose last non-zero wavenumber is negative as the
-    conjugate of its mirror."""
+    modes of the half layout, reading a mode whose last non-zero wavenumber
+    is negative as the conjugate of its mirror and the k = 0 mode as real."""
     n, dim, m = grid.n, grid.dim, samples.shape[-1]
     half = np.fft.rfftn(samples, axes=tuple(range(-dim, 0)), norm="forward")
-    out = np.zeros(samples.shape[:-dim] + grid.shape, dtype=np.complex128)
-    for k in itertools.product(range(-(n // 2) + 1, n // 2), repeat=dim):
+    out = np.zeros(samples.shape[:-dim] + grid.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+    retained = [range(-(n // 2) + 1, n // 2)] * (dim - 1) + [range(0, n // 2)]
+    for k in itertools.product(*retained):
         nonzero = [kj for kj in k if kj != 0]
         flip = bool(nonzero) and nonzero[-1] < 0
         value = half[(Ellipsis,) + tuple((-kj if flip else kj) % m for kj in k)]
+        if not nonzero:
+            value = value.real
         out[(Ellipsis,) + tuple(kj % n for kj in k)] = np.conj(value) if flip else value
     return out
 

@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +116,34 @@ def test_run_determinism_bitwise(tmp_path):
     assert [p.name for p in snaps_a] == [p.name for p in snaps_b]
     for pa, pb in zip(snaps_a, snaps_b):
         assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
+    """One 3D run through the CLI in fresh processes at 1 and 2 BLAS threads
+    writes byte-identical traces and snapshots."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        cfg_path = out / "run.cfg"
+        cfg_path.write_text(_config_text(tmp_path, dim=3, n=12, **{
+            "ic.amplitude": 0.1,
+            "output.trace_path": str(out / "trace.csv"),
+            "output.snapshot_dir": str(out / "snaps"),
+            "output.snapshot_every": 1,
+        }))
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "nemflow.cli", "run", str(cfg_path)],
+                              env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        snaps = sorted((out / "snaps").iterdir())
+        outputs.append([(out / "trace.csv").read_bytes()]
+                       + [(p.name, p.read_bytes()) for p in snaps])
+    assert len(outputs[0]) == 4  # the trace and one snapshot per step
+    assert outputs[0] == outputs[1]
 
 
 def test_snapshot_roundtrip_bitwise(tmp_path):

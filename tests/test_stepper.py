@@ -37,8 +37,9 @@ def test_state_invariants_enforced():
 
 
 def test_each_level_is_transformed_once(monkeypatch):
-    """A state carries its level's read-only coefficients, so a warm-started
-    step transforms only the new level (stepper) and mu and v (ledger)."""
+    """A state carries its level's read-only coefficients, and a new level
+    keeps the solver's own, so a warm-started step transforms no samples:
+    neither the new level (stepper) nor mu and v (ledger)."""
     grid = GridSpec(2, 16, "exact")
     prev = StepState(
         perturbed_director(grid, seed=51, amplitude=0.1),
@@ -53,11 +54,16 @@ def test_each_level_is_transformed_once(monkeypatch):
         monkeypatch.setattr(f"nemflow.{module}.fftn_norm", counted)
     params = ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3)
     result = implicit_step(prev, params, PicardConfig(tol=1e-11), guess=guess)
-    assert calls == {"stepper": 2, "diagnostics": 2}
+    assert calls == {"stepper": 0, "diagnostics": 0}
 
+    # a level built from samples holds their transform; one built from
+    # coefficients holds their synthesis
+    for f, f_hat in ((prev.d, prev.d_hat), (prev.u, prev.u_hat)):
+        assert np.array_equal(f_hat, fftn_norm(f.values, grid.dim))
+    for f, f_hat in ((result.state.d, result.state.d_hat), (result.state.u, result.state.u_hat)):
+        assert np.array_equal(f.values, ifftn_norm(f_hat, grid.dim))
     for state in (prev, result.state):
-        for f, f_hat in ((state.d, state.d_hat), (state.u, state.u_hat)):
-            assert np.array_equal(f_hat, fftn_norm(f.values, grid.dim))
+        for f_hat in (state.d_hat, state.u_hat):
             with pytest.raises(ValueError):
                 f_hat[0, 0, 0] = 1.0
 
@@ -142,7 +148,8 @@ def _sweep(prev, iterate, params):
                     fftn_norm(prev.d.values, grid.dim), fftn_norm(prev.u.values, grid.dim))
     d_hat, u_hat = (fftn_norm(f.values, grid.dim) for f in iterate)
     r_d, r_u = ws.residual_fields(d_hat, u_hat, ws.terms(d_hat, u_hat))
-    d_out, u_out = ws.split(ws.join(d_hat, u_hat) - ws.precondition(r_d, r_u))
+    step = ws.join(*ws.precondition_vec(ws.join(r_d, r_u)))
+    d_out, u_out = ws.split(ws.join(d_hat, u_hat) - step)
     return (VectorField(grid, ifftn_norm(d_out, grid.dim)),
             VectorField(grid, ifftn_norm(u_out, grid.dim)))
 
@@ -249,7 +256,7 @@ def test_convective_energy_neutrality():
     """In exact mode the computed convection term cannot feed the kinetic
     energy: its pairing with u vanishes to round-off."""
     from nemflow.coupling import convective_hat
-    from nemflow.fields import fftn_norm, spectral_l2_norm
+    from nemflow.fields import fftn_norm, parseval_sum, spectral_l2_norm
     from nemflow.operators import padded_bundle
 
     grid = GridSpec(2, 16, "exact")
@@ -260,9 +267,37 @@ def test_convective_energy_neutrality():
     params = ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3)
     result = implicit_step(state, params, PicardConfig(tol=1e-11))
     u_hat = fftn_norm(result.state.u.values, grid.dim)
-    conv = convective_hat(padded_bundle(u_hat, grid), grid)
-    pairing = abs(float(np.sum((conv * np.conj(u_hat)).real)))
+    conv = convective_hat([padded_bundle(u_hat, grid)], grid)
+    pairing = abs(parseval_sum((conv * np.conj(u_hat)).real))
     assert pairing <= 1e-11 * max(spectral_l2_norm(u_hat) ** 3, 1e-30)
+
+
+def test_krylov_directions_are_real_fields(monkeypatch):
+    """The directions GMRES hands to the Jacobian action represent real
+    fields: in the k_last = 0 plane, the one plane of the half layout holding
+    both k and -k, each coefficient is the conjugate of its mirror's."""
+    grid = GridSpec(2, 16, "exact")
+    mirror = (-np.arange(grid.n)) % grid.n
+    seen = []
+    real_action = _Workspace.jacobian_action
+
+    def spy(self, t, delta_d, delta_u):
+        for c in (delta_d, delta_u):
+            plane = c[..., 0]
+            anti = 0.5 * np.max(np.abs(plane - np.conj(plane[..., mirror])))
+            seen.append((anti, np.max(np.abs(c))))
+        return real_action(self, t, delta_d, delta_u)
+
+    monkeypatch.setattr(_Workspace, "jacobian_action", spy)
+    state = StepState(
+        perturbed_director(grid, seed=91, amplitude=0.2),
+        solenoidal(grid, seed=92, kcut=2, scale=0.2),
+    )
+    params = ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3)
+    for _ in range(3):
+        state = implicit_step(state, params, PicardConfig(tol=1e-10)).state
+    assert seen
+    assert all(anti <= 1e-14 * top for anti, top in seen)
 
 
 def test_warm_start_does_not_change_solution():

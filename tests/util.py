@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from nemflow.fields import GridSpec, VectorField, fftn_norm, ifftn_norm, integer_modes
+from nemflow.fields import GridSpec, VectorField, fftn_norm, ifftn_norm, integer_wavevectors
 from nemflow.operators import leray_hat
 
 
@@ -16,24 +16,14 @@ def band_limited(grid: GridSpec, components: int, seed: int, kcut: int | None = 
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(components, *grid.shape))
     coeffs = fftn_norm(raw, grid.dim)
-    k = np.abs(integer_modes(grid.n))
-    mask = np.ones(grid.shape, dtype=bool)
-    for axis in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[axis] = grid.n
-        mask &= k.reshape(shape) <= kcut
+    mask = np.all(np.abs(integer_wavevectors(grid)) <= kcut, axis=0)
     return VectorField(grid, scale * ifftn_norm(coeffs * mask, grid.dim))
 
 
 def nyquist_mask(grid: GridSpec) -> np.ndarray:
-    """Boolean mask, True where any axis index sits on the Nyquist slot."""
-    idx = np.abs(integer_modes(grid.n))
-    mask = np.zeros(grid.shape, dtype=bool)
-    for axis in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[axis] = grid.n
-        mask |= idx.reshape(shape) == grid.n // 2
-    return mask
+    """Boolean half-layout mask, True where any axis index sits on the
+    Nyquist slot."""
+    return np.any(integer_wavevectors(grid) == -(grid.n // 2), axis=0)
 
 
 def solenoidal(grid: GridSpec, seed: int, kcut: int | None = None,
