@@ -27,7 +27,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .fields import GridSpec, VectorField, fftn_norm, ifftn_norm
+from .fields import GridSpec, VectorField
 from .operators import from_padded, padded_bundle
 
 Bundle = tuple[np.ndarray, np.ndarray]  # (padded samples, padded gradient samples)
@@ -70,7 +70,7 @@ def convective_hat(bundles: Iterable[Bundle], grid: GridSpec) -> np.ndarray:
 
 
 def _bundle(f: VectorField, grid: GridSpec) -> Bundle:
-    return padded_bundle(fftn_norm(f.values, grid.dim), grid)
+    return padded_bundle(f.coeffs, grid)
 
 
 def _check_pair(a: VectorField, b: VectorField, grid: GridSpec | None) -> GridSpec:
@@ -88,7 +88,7 @@ def extra_velocity(
     """v = mu . grad d + alpha div{mu (x) d} - (1 - alpha) div{d (x) mu}."""
     grid = _check_pair(mu, d, grid)
     v = extra_velocity_hat([(_bundle(mu, grid), _bundle(d, grid))], alpha, grid)
-    return VectorField(grid, ifftn_norm(v, grid.dim))
+    return VectorField.from_coefficients(grid, v)
 
 
 def director_transport(
@@ -97,5 +97,5 @@ def director_transport(
     """T(d, w) = (w . grad) d - alpha (grad w) d + (1 - alpha) (grad^T w) d."""
     grid = _check_pair(d, w, grid)
     t = director_transport_hat([(_bundle(d, grid), _bundle(w, grid))], alpha, grid)
-    return VectorField(grid, ifftn_norm(t, grid.dim))
+    return VectorField.from_coefficients(grid, t)
 

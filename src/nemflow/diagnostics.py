@@ -19,7 +19,7 @@ import numpy as np
 
 from .coupling import director_transport_hat
 from .energetics import ModelParams, total_energy_hat
-from .fields import GridSpec, VectorField, fftn_norm, ifftn_norm, laplace_symbol, parseval_sum
+from .fields import GridSpec, VectorField, laplace_symbol, parseval_sum
 from .operators import grad_hat, max_mode_divergence, padded_bundle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -80,7 +80,7 @@ def build_ledger(
     """
     grid = cur.grid
     tau = params.tau
-    d_hat, u_hat, dp_hat, up_hat = cur.d_hat, cur.u_hat, prev.d_hat, prev.u_hat
+    d_hat, u_hat, dp_hat, up_hat = cur.d.coeffs, cur.u.coeffs, prev.d.coeffs, prev.u.coeffs
     energy = total_energy_hat(d_hat, u_hat, params, grid)
     prev_total = total_energy_hat(dp_hat, up_hat, params, grid).total
 
@@ -154,8 +154,8 @@ def transport_only_run(
     dynamics that the implicit stepper refuses.
     """
     grid = d0.grid
-    w_b = padded_bundle(fftn_norm(w.values, grid.dim), grid)
-    d_hat = fftn_norm(d0.values, grid.dim)
+    w_b = padded_bundle(w.coeffs, grid)
+    d_hat = d0.coeffs
 
     def rhs(dh):
         return -director_transport_hat([(padded_bundle(dh, grid), w_b)], alpha, grid)
@@ -166,9 +166,9 @@ def transport_only_run(
         k3 = rhs(d_hat + 0.5 * tau * k2)
         k4 = rhs(d_hat + tau * k3)
         d_hat = d_hat + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return VectorField(grid, ifftn_norm(d_hat, grid.dim))
+    return VectorField.from_coefficients(grid, d_hat)
 
 
 def spectral_divergence_max(u: VectorField) -> float:
-    """max_k |k . u_hat(k)| for a sampled vector field."""
-    return max_mode_divergence(fftn_norm(u.values, u.grid.dim), u.grid)
+    """max_k |k . u_hat(k)| for a vector field."""
+    return max_mode_divergence(u.coeffs, u.grid)

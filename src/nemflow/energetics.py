@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import GridSpec, VectorField, fftn_norm, ifftn_norm, laplace_symbol, parseval_sum
+from .fields import GridSpec, VectorField, laplace_symbol, parseval_sum
 from .operators import band_limit_hat, from_padded, to_padded
 
 
@@ -121,10 +121,8 @@ def chemical_potential(
 ) -> VectorField:
     """Discrete first variation mu = P_k[-lap d + f_plus(d) + f_minus(d_prev)]."""
     grid = grid or d.grid
-    d_hat = fftn_norm(d.values, grid.dim)
-    dp_hat = fftn_norm(d_prev.values, grid.dim)
-    mu = chemical_potential_hat(d_hat, dp_hat, grid, params.gamma)
-    return VectorField(grid, ifftn_norm(mu, grid.dim))
+    mu = chemical_potential_hat(d.coeffs, d_prev.coeffs, grid, params.gamma)
+    return VectorField.from_coefficients(grid, mu)
 
 
 def total_energy(
@@ -132,6 +130,5 @@ def total_energy(
 ) -> EnergyBreakdown:
     """Elastic + well + kinetic energy of a state (unit volume)."""
     grid = grid or d.grid
-    return total_energy_hat(fftn_norm(d.values, grid.dim), fftn_norm(u.values, grid.dim),
-                            params, grid)
+    return total_energy_hat(d.coeffs, u.coeffs, params, grid)
 

@@ -1,4 +1,4 @@
-"""Periodic unit-torus grids, sampled fields, and trigonometric transforms.
+"""Periodic unit-torus grids, fields, and trigonometric transforms.
 
 The solver works on the torus [0,1)^dim with n equispaced samples per axis.
 Fourier coefficients are normalised so the k=0 coefficient equals the mean of
@@ -11,12 +11,18 @@ and the Nyquist column n/2, whose modes pair up within the column.  The
 retained trigonometric space excludes the Nyquist slots (|k_j| = n/2):
 derivatives of the unpaired Nyquist mode are ill-defined on an even grid, so
 projections zero it and differential operators ignore it.
+
+A field holds the representation it was built from, samples or half-layout
+coefficients, and makes the other on first read.  The typed operators read
+f.coeffs and return fields built from coefficients, and so does the solver
+for its levels, mu and v: samples are synthesised only where snapshots and
+pointwise statistics read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -100,53 +106,65 @@ def laplace_symbol(grid: GridSpec) -> np.ndarray:
     return _freeze(4.0 * np.pi**2 * np.sum(k * k, axis=0))
 
 
-def _validate_samples(grid: GridSpec, values: np.ndarray, rank: int, what: str) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != rank + grid.dim or values.shape[-grid.dim:] != grid.shape:
-        raise ValueError(f"{what} shape {values.shape} does not match grid {grid.shape}")
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteError(f"{what} contains non-finite samples")
-    return _freeze(values)
+class _Field:
+    """A field on the grid, held as the real samples or the half-layout
+    coefficients it was built from; the other representation is made on first
+    read and cached.  Both arrays are read-only, so fields can be shared.
 
-
-@dataclass(frozen=True)
-class VectorField:
-    """Sampled vector-valued field; values has shape (components, n, ..., n).
-
-    A scalar field is represented with components == 1.  Arrays are frozen
-    (read-only) on construction so fields can be shared across workers.
+    The leading rank axes are components (then, for rank 2, dim); the
+    trailing grid.dim axes are spatial.
     """
 
-    grid: GridSpec
-    values: np.ndarray
+    rank = 1
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _validate_samples(self.grid, self.values, 1, "VectorField"))
+    def __init__(self, grid: GridSpec, values: np.ndarray):
+        self._hold(grid, "values", np.asarray(values, dtype=np.float64), grid.shape)
 
-    @property
-    def components(self) -> int:
-        return self.values.shape[0]
+    @classmethod
+    def from_coefficients(cls, grid: GridSpec, coeffs: np.ndarray):
+        """The field with these half-layout coefficients, which it freezes
+        and keeps."""
+        field = cls.__new__(cls)
+        half = grid.shape[:-1] + (grid.n // 2 + 1,)
+        field._hold(grid, "coeffs", np.asarray(coeffs, dtype=np.complex128), half)
+        return field
+
+    def _hold(self, grid: GridSpec, name: str, a: np.ndarray, spatial: tuple[int, ...]) -> None:
+        axes = (grid.dim,) * (self.rank - 1) + spatial  # all but the components axis
+        if a.ndim != self.rank + grid.dim or a.shape[1:] != axes:
+            raise ValueError(f"{type(self).__name__} {name} shape {a.shape} does not match {axes}")
+        if not np.all(np.isfinite(a)):
+            raise NonFiniteError(f"{type(self).__name__} {name} are not all finite")
+        # the instance dict shadows the cached property of the same name
+        vars(self).update(grid=grid, components=a.shape[0], **{name: _freeze(a)})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    # fftn_norm/ifftn_norm are looked up at call time, so wrapping the module
+    # globals sees every transform
+    @cached_property
+    def values(self) -> np.ndarray:
+        return _freeze(ifftn_norm(self.coeffs, self.grid.dim))
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        return _freeze(fftn_norm(self.values, self.grid.dim))
+
+
+class VectorField(_Field):
+    """Vector-valued field: values (components, n, ..., n), coeffs
+    (components, n, ..., n, n//2 + 1).  A scalar field has components == 1."""
 
     @staticmethod
     def zeros(grid: GridSpec, components: int) -> "VectorField":
         return VectorField(grid, np.zeros((components, *grid.shape)))
 
 
-@dataclass(frozen=True)
-class TensorField:
-    """Sampled matrix-valued field; values has shape (components, dim, n, ..., n)."""
+class TensorField(_Field):
+    """Matrix-valued field: values (components, dim, n, ..., n)."""
 
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _validate_samples(self.grid, self.values, 2, "TensorField"))
-        if self.values.shape[1] != self.grid.dim:
-            raise ValueError("TensorField second axis must equal grid.dim")
-
-    @property
-    def components(self) -> int:
-        return self.values.shape[0]
+    rank = 2
 
 
 def fftn_norm(values: np.ndarray, dim: int) -> np.ndarray:

@@ -43,9 +43,18 @@ def _max_pointwise_norm(values: np.ndarray) -> float:
     return float(np.max(np.sqrt(np.sum(values * values, axis=0))))
 
 
-def _solenoidal_noise(rng: np.random.Generator, grid: GridSpec, kcut: int) -> np.ndarray:
-    raw = _band_limited_noise(rng, grid, grid.dim, kcut)
-    return ifftn_norm(leray_hat(fftn_norm(raw, grid.dim), grid), grid.dim)
+def _random_flow(rng: np.random.Generator, grid: GridSpec, kcut: int,
+                 amplitude: float) -> np.ndarray:
+    """Random band-limited solenoidal velocity scaled to max |u| = amplitude;
+    zero, with no draw from rng, when amplitude is 0."""
+    u = np.zeros((grid.dim, *grid.shape))
+    if amplitude > 0.0:
+        raw = _band_limited_noise(rng, grid, grid.dim, kcut)
+        flow = ifftn_norm(leray_hat(fftn_norm(raw, grid.dim), grid), grid.dim)
+        scale = _max_pointwise_norm(flow)
+        if scale > 0.0:
+            u = amplitude * flow / scale
+    return u
 
 
 def initial_condition(kind: str, grid: GridSpec, seed: int, amplitude: float) -> StepState:
@@ -55,14 +64,10 @@ def initial_condition(kind: str, grid: GridSpec, seed: int, amplitude: float) ->
     if kind == "uniform_perturbed":
         d = np.zeros((grid.dim, *grid.shape))
         d[0] = 1.0
-        u = np.zeros_like(d)
         if amplitude > 0.0:
             pert = _band_limited_noise(rng, grid, grid.dim, _PERTURBATION_KCUT)
             d += amplitude * pert / _max_pointwise_norm(pert)
-            flow = _solenoidal_noise(rng, grid, _PERTURBATION_KCUT)
-            scale = _max_pointwise_norm(flow)
-            if scale > 0.0:
-                u = amplitude * flow / scale
+        u = _random_flow(rng, grid, _PERTURBATION_KCUT, amplitude)
         return StepState(VectorField(grid, d), VectorField(grid, u), time=0.0)
 
     if kind == "random_smooth":
@@ -70,12 +75,7 @@ def initial_condition(kind: str, grid: GridSpec, seed: int, amplitude: float) ->
         rms = float(np.sqrt(np.mean(np.sum(d * d, axis=0))))
         if rms > 0.0:
             d = d / rms
-        u = np.zeros_like(d)
-        if amplitude > 0.0:
-            flow = _solenoidal_noise(rng, grid, _PERTURBATION_KCUT + 1)
-            scale = _max_pointwise_norm(flow)
-            if scale > 0.0:
-                u = amplitude * flow / scale
+        u = _random_flow(rng, grid, _PERTURBATION_KCUT + 1, amplitude)
         return StepState(VectorField(grid, d), VectorField(grid, u), time=0.0)
 
     if kind == "defect_pair":
@@ -95,12 +95,7 @@ def initial_condition(kind: str, grid: GridSpec, seed: int, amplitude: float) ->
         d = np.stack([envelope * np.cos(theta), envelope * np.sin(theta)])
         # sampled geometry: drop its Nyquist content, as _band_limited_noise does
         d = ifftn_norm(band_limit_hat(fftn_norm(d, 2), grid), 2)
-        u = np.zeros_like(d)
-        if amplitude > 0.0:
-            flow = _solenoidal_noise(rng, grid, _PERTURBATION_KCUT)
-            scale = _max_pointwise_norm(flow)
-            if scale > 0.0:
-                u = amplitude * flow / scale
+        u = _random_flow(rng, grid, _PERTURBATION_KCUT, amplitude)
         return StepState(VectorField(grid, d), VectorField(grid, u), time=0.0)
 
     raise ValueError(f"unknown initial condition kind {kind!r}")

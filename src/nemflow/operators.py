@@ -34,8 +34,6 @@ from .fields import (
     TensorField,
     VectorField,
     _freeze,
-    fftn_norm,
-    ifftn_norm,
     laplace_symbol,
     wavevectors,
 )
@@ -218,9 +216,7 @@ def padded_bundle(coeffs: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.nd
 
 def gradient(f: VectorField) -> TensorField:
     """Jacobian with the convention (grad f)_{ij} = df_i/dx_j."""
-    coeffs = fftn_norm(f.values, f.grid.dim)
-    g = ifftn_norm(grad_hat(coeffs, f.grid), f.grid.dim)
-    return TensorField(f.grid, g)
+    return TensorField.from_coefficients(f.grid, grad_hat(f.coeffs, f.grid))
 
 
 def divergence(m: VectorField | TensorField) -> VectorField:
@@ -232,24 +228,19 @@ def divergence(m: VectorField | TensorField) -> VectorField:
     if isinstance(m, VectorField):
         if m.components != grid.dim:
             raise ValueError("divergence of a vector field needs dim components")
-        vals = m.values[None]
+        coeffs = m.coeffs[None]
     else:
-        vals = m.values
-    coeffs = fftn_norm(vals, grid.dim)
-    k = wavevectors(grid)
-    div_hat = np.sum(_TWO_PI_I * k * coeffs, axis=1)
-    return VectorField(grid, ifftn_norm(div_hat, grid.dim))
+        coeffs = m.coeffs
+    div_hat = np.sum(_TWO_PI_I * wavevectors(grid) * coeffs, axis=1)
+    return VectorField.from_coefficients(grid, div_hat)
 
 
 def laplacian(f: VectorField) -> VectorField:
-    coeffs = fftn_norm(f.values, f.grid.dim)
-    out = -laplace_symbol(f.grid) * coeffs
-    return VectorField(f.grid, ifftn_norm(out, f.grid.dim))
+    return VectorField.from_coefficients(f.grid, -laplace_symbol(f.grid) * f.coeffs)
 
 
 def leray_project(w: VectorField) -> VectorField:
     """L2-orthogonal projection onto solenoidal, zero-mean vector fields."""
     if w.components != w.grid.dim:
         raise ValueError("leray_project needs a dim-component field")
-    coeffs = fftn_norm(w.values, w.grid.dim)
-    return VectorField(w.grid, ifftn_norm(leray_hat(coeffs, w.grid), w.grid.dim))
+    return VectorField.from_coefficients(w.grid, leray_hat(w.coeffs, w.grid))

@@ -79,8 +79,8 @@ def _extrapolated_guess(state: StepState, prev: StepState | None) -> StepState |
     if prev is None:
         return None
     grid = state.grid
-    u_hat = leray_hat(2.0 * state.u_hat - prev.u_hat, grid)
-    return StepState.from_coefficients(grid, 2.0 * state.d_hat - prev.d_hat, u_hat, state.time)
+    u_hat = leray_hat(2.0 * state.u.coeffs - prev.u.coeffs, grid)
+    return StepState.from_coefficients(grid, 2.0 * state.d.coeffs - prev.d.coeffs, u_hat, state.time)
 
 
 def run_simulation(cfg: RunConfig) -> RunReport:
@@ -96,7 +96,7 @@ def run_simulation(cfg: RunConfig) -> RunReport:
     """
     grid = cfg.grid
     state = initial_condition(cfg.ic.kind, grid, cfg.ic.seed, cfg.ic.amplitude)
-    e0 = total_energy_hat(state.d_hat, state.u_hat, cfg.params, grid).total
+    e0 = total_energy_hat(state.d.coeffs, state.u.coeffs, cfg.params, grid).total
     budget = 10.0 * cfg.picard.tol * (1.0 + e0)
 
     trace_path = Path(cfg.output.trace_path)
@@ -134,8 +134,8 @@ def run_simulation(cfg: RunConfig) -> RunReport:
                 prev_state = state
                 state = result.state
                 stats = director_length_stats(state.d)
-                div_u = max_mode_divergence(state.u_hat, grid)
-                h2 = h2_diagnostic(state.d_hat, grid)
+                div_u = max_mode_divergence(state.u.coeffs, grid)
+                h2 = h2_diagnostic(state.d.coeffs, grid)
                 trace.write(_csv_row(step, result.ledger, stats, div_u, h2) + "\n")
                 if not check_energy_inequality(result.ledger, budget).passed:
                     checks_ok = False

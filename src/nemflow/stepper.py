@@ -21,7 +21,7 @@ the preconditioner never alters what is solved, only how fast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,9 +32,6 @@ from .fields import (
     GridSpec,
     NonFiniteError,
     VectorField,
-    _freeze,
-    fftn_norm,
-    ifftn_norm,
     laplace_symbol,
     parseval_sum,
     spectral_l2_norm,
@@ -60,17 +57,15 @@ class PicardDivergenceError(RuntimeError):
 class StepState:
     """One time level (d, u); u is solenoidal with zero mean.
 
-    The level's half-layout coefficients d_hat and u_hat (read-only) are
-    transformed from the samples once, on construction, or kept from the
-    solver (from_coefficients); the stepper, the ledger and the runner's
-    diagnostics read them instead of the samples.
+    The stepper, the ledger and the runner's diagnostics read the fields'
+    coefficients (d.coeffs, u.coeffs); a level the solver makes holds only
+    those, and its samples are synthesised when snapshots or the length
+    statistics read them.
     """
 
     d: VectorField
     u: VectorField
     time: float = 0.0
-    d_hat: np.ndarray | None = field(default=None, repr=False, compare=False)
-    u_hat: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         grid = self.d.grid
@@ -78,15 +73,11 @@ class StepState:
             raise ValueError("d and u live on different grids")
         if self.d.components != grid.dim or self.u.components != grid.dim:
             raise ValueError("state fields need dim components")
-        for name, f in (("d_hat", self.d), ("u_hat", self.u)):
-            coeffs = getattr(self, name)
-            if coeffs is None:
-                coeffs = fftn_norm(f.values, grid.dim)
-            object.__setattr__(self, name, _freeze(coeffs))
-        unorm = spectral_l2_norm(self.u_hat)
-        if max_mode_divergence(self.u_hat, grid) > 1e-12 * (1.0 + unorm):
+        u_hat = self.u.coeffs
+        unorm = spectral_l2_norm(u_hat)
+        if max_mode_divergence(u_hat, grid) > 1e-12 * (1.0 + unorm):
             raise ValueError("u is not solenoidal to spectral tolerance")
-        if np.max(np.abs(self.u_hat[(slice(None),) + (0,) * grid.dim])) > 1e-14 * (1.0 + unorm):
+        if np.max(np.abs(u_hat[(slice(None),) + (0,) * grid.dim])) > 1e-14 * (1.0 + unorm):
             raise ValueError("u does not have zero mean")
 
     @property
@@ -96,10 +87,9 @@ class StepState:
     @staticmethod
     def from_coefficients(grid: GridSpec, d_hat: np.ndarray, u_hat: np.ndarray,
                           time: float) -> "StepState":
-        """The level with these half-layout coefficients, which it freezes and
-        keeps; its samples are their inverse transforms."""
-        return StepState(VectorField(grid, ifftn_norm(d_hat, grid.dim)),
-                         VectorField(grid, ifftn_norm(u_hat, grid.dim)), time, d_hat, u_hat)
+        """The level that holds these half-layout coefficients."""
+        return StepState(VectorField.from_coefficients(grid, d_hat),
+                         VectorField.from_coefficients(grid, u_hat), time)
 
 
 @dataclass(frozen=True)
@@ -438,10 +428,10 @@ def implicit_step(
     if not 0.0 < tau_min <= params.tau:
         raise ValueError("picard.tau_min must satisfy 0 < tau_min <= tau")
 
-    guess_hats = (guess.d_hat, guess.u_hat) if guess is not None else None
+    guess_hats = (guess.d.coeffs, guess.u.coeffs) if guess is not None else None
     tau = params.tau
     while True:
-        ws = _Workspace(grid, params, tau, prev.d_hat, prev.u_hat, guess_hats)
+        ws = _Workspace(grid, params, tau, prev.d.coeffs, prev.u.coeffs, guess_hats)
         overflowed = False
         try:
             out = _picard_attempt(ws, cfg)
@@ -462,8 +452,8 @@ def implicit_step(
 
     d_hat, u_hat, t, iters, res = out
     state = StepState.from_coefficients(grid, d_hat, u_hat, prev.time + tau)
-    mu = VectorField(grid, ifftn_norm(t.mu, grid.dim))
-    v_extra = VectorField(grid, ifftn_norm(t.v, grid.dim))
+    mu = VectorField.from_coefficients(grid, t.mu)
+    v_extra = VectorField.from_coefficients(grid, t.v)
     used = replace(params, tau=tau)
     ledger = build_ledger(prev, state, t.mu, t.v, used, picard_iters=iters, picard_residual=res)
     return StepResult(state, mu, v_extra, ledger, tau)
@@ -484,24 +474,23 @@ def residual_fully_implicit(
     grid = grid or prev.grid
     d, u, mu = candidate
     tau, eps = params.tau, params.epsilon
-    d_hat = fftn_norm(d.values, grid.dim)
-    u_hat = fftn_norm(u.values, grid.dim)
-    mu_hat = fftn_norm(mu.values, grid.dim)
+    d_hat, u_hat, mu_hat = d.coeffs, u.coeffs, mu.coeffs
+    dp_hat, up_hat = prev.d.coeffs, prev.u.coeffs
 
-    mu_def = chemical_potential_hat(d_hat, prev.d_hat, grid, params.gamma)
+    mu_def = chemical_potential_hat(d_hat, dp_hat, grid, params.gamma)
     r_mu = spectral_l2_norm(mu_hat - mu_def) / (1.0 + spectral_l2_norm(mu_hat))
 
     d_b = padded_bundle(d_hat, grid)
     v_hat = extra_velocity_hat([(padded_bundle(mu_hat, grid), d_b)], params.alpha, grid)
     w_b = padded_bundle(u_hat + v_hat, grid)
     transport = director_transport_hat([(d_b, w_b)], params.alpha, grid)
-    res_d = d_hat - prev.d_hat + tau * transport + eps * tau * mu_hat
+    res_d = d_hat - dp_hat + tau * transport + eps * tau * mu_hat
     r_d = spectral_l2_norm(res_d) / (1.0 + spectral_l2_norm(d_hat))
 
     lap = laplace_symbol(grid)
     conv = convective_hat([padded_bundle(u_hat, grid)], grid)
     res_u = leray_hat(
-        params.rho * (u_hat - prev.u_hat) + tau * params.rho * conv
+        params.rho * (u_hat - up_hat) + tau * params.rho * conv
         + tau * params.eta * lap * u_hat - tau * v_hat,
         grid,
     )

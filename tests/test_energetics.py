@@ -148,7 +148,7 @@ def test_dissipation_rate_examples(grid):
     params = ModelParams(eta=0.7, tau=1e-3)
     zero = VectorField.zeros(grid, 2)
     rest = StepState(zero, zero)
-    zero_hat = rest.d_hat
+    zero_hat = rest.d.coeffs
     led = build_ledger(rest, rest, zero_hat, zero_hat, params, picard_iters=0, picard_residual=0.0)
     assert led.d_visc == 0.0 and led.d_friction == 0.0
 
@@ -167,7 +167,7 @@ def test_dissipation_rate_matches_quadrature(grid):
     u = solenoidal(grid, seed=11)
     v = band_limited(grid, 2, seed=12)
     zero = VectorField.zeros(grid, 2)
-    led = build_ledger(StepState(zero, zero), StepState(zero, u), StepState(zero, zero).d_hat,
+    led = build_ledger(StepState(zero, zero), StepState(zero, u), StepState(zero, zero).d.coeffs,
                        fftn_norm(v.values, grid.dim), params, picard_iters=0, picard_residual=0.0)
 
     g = gradient(u).values

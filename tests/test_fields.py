@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from nemflow import fields
 from nemflow.fields import (
     GridSpec,
     NonFiniteError,
+    TensorField,
     VectorField,
     fftn_norm,
     ifftn_norm,
@@ -48,6 +50,65 @@ def test_vector_field_validation():
         VectorField(grid, np.full((1, 8, 8), np.nan))
     with pytest.raises(ValueError, match="shape"):
         VectorField(grid, np.zeros((1, 8, 4)))
+
+
+@pytest.mark.parametrize("cls,lead", [(VectorField, (3,)), (TensorField, (2, 2))])
+def test_each_representation_is_the_transform_of_the_other(cls, lead):
+    """A field built from samples holds fftn_norm of them, one built from
+    coefficients holds ifftn_norm of them, bit for bit, made once."""
+    grid = GridSpec(2, 8)
+    rng = np.random.default_rng(3)
+    samples = rng.normal(size=lead + grid.shape)
+    f = cls(grid, samples)
+    assert np.array_equal(f.coeffs, fftn_norm(samples, grid.dim))
+    assert f.coeffs is f.coeffs
+    coeffs = fftn_norm(rng.normal(size=lead + grid.shape), grid.dim)
+    g = cls.from_coefficients(grid, coeffs)
+    assert np.array_equal(g.values, ifftn_norm(coeffs, grid.dim))
+    assert g.values is g.values
+
+
+def test_both_representations_are_read_only():
+    grid = GridSpec(2, 8)
+    samples = np.random.default_rng(4).normal(size=(2, 8, 8))
+    for f in (VectorField(grid, samples),
+              VectorField.from_coefficients(grid, fftn_norm(samples, grid.dim))):
+        for array in (f.values, f.coeffs):
+            with pytest.raises(ValueError):
+                array[0, 0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            f.values = samples
+
+
+def test_coefficient_validation():
+    grid = GridSpec(2, 8)
+    coeffs = np.zeros((2, 8, 5), dtype=np.complex128)
+    VectorField.from_coefficients(grid, coeffs)
+    bad = coeffs.copy()
+    bad[0, 1, 1] = np.inf
+    with pytest.raises(NonFiniteError):
+        VectorField.from_coefficients(grid, bad)
+    bad[0, 1, 1] = complex(0.0, np.nan)
+    with pytest.raises(NonFiniteError):
+        VectorField.from_coefficients(grid, bad)
+    with pytest.raises(ValueError, match="shape"):
+        VectorField.from_coefficients(grid, np.zeros((2, 8, 8), dtype=np.complex128))
+    with pytest.raises(ValueError, match="shape"):
+        VectorField.from_coefficients(grid, np.zeros((8, 5), dtype=np.complex128))
+    with pytest.raises(ValueError, match="shape"):
+        TensorField.from_coefficients(grid, np.zeros((2, 3, 8, 5), dtype=np.complex128))
+
+
+def test_components_of_coefficient_field_makes_no_transform(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("transform called")
+
+    monkeypatch.setattr(fields, "fftn_norm", forbidden)
+    monkeypatch.setattr(fields, "ifftn_norm", forbidden)
+    grid = GridSpec(3, 8)
+    f = VectorField.from_coefficients(grid, np.zeros((3, 8, 8, 5), dtype=np.complex128))
+    assert f.components == 3
+    assert f.grid == grid
 
 
 def test_constant_field_transforms_to_mean():

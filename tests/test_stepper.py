@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nemflow.energetics import ModelParams, total_energy
+from nemflow import fields
 from nemflow.fields import GridSpec, VectorField, fftn_norm, ifftn_norm
 from nemflow.stepper import (
     PicardConfig,
@@ -37,35 +38,29 @@ def test_state_invariants_enforced():
 
 
 def test_each_level_is_transformed_once(monkeypatch):
-    """A state carries its level's read-only coefficients, and a new level
-    keeps the solver's own, so a warm-started step transforms no samples:
-    neither the new level (stepper) nor mu and v (ledger)."""
+    """A new level, mu and v hold the solver's own coefficients, so a step
+    warm-started from coefficients transforms nothing; a sampled view is
+    synthesised once, on first read."""
     grid = GridSpec(2, 16, "exact")
-    prev = StepState(
-        perturbed_director(grid, seed=51, amplitude=0.1),
-        solenoidal(grid, seed=52, kcut=2, scale=0.1),
-    )
-    guess = StepState(prev.d, prev.u, prev.time)
-    calls = {"stepper": 0, "diagnostics": 0}
-    for module in calls:
-        def counted(values, dim, module=module):
-            calls[module] += 1
-            return fftn_norm(values, dim)
-        monkeypatch.setattr(f"nemflow.{module}.fftn_norm", counted)
+    d = perturbed_director(grid, seed=51, amplitude=0.1)
+    u = solenoidal(grid, seed=52, kcut=2, scale=0.1)
+    prev = StepState.from_coefficients(grid, d.coeffs, u.coeffs, 0.0)
+    guess = StepState.from_coefficients(grid, d.coeffs, u.coeffs, 0.0)
+    calls = {"fftn_norm": 0, "ifftn_norm": 0}
+    for name in calls:
+        def counted(*args, name=name, transform=getattr(fields, name)):
+            calls[name] += 1
+            return transform(*args)
+        monkeypatch.setattr(fields, name, counted)
     params = ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3)
     result = implicit_step(prev, params, PicardConfig(tol=1e-11), guess=guess)
-    assert calls == {"stepper": 0, "diagnostics": 0}
+    assert calls == {"fftn_norm": 0, "ifftn_norm": 0}
 
-    # a level built from samples holds their transform; one built from
-    # coefficients holds their synthesis
-    for f, f_hat in ((prev.d, prev.d_hat), (prev.u, prev.u_hat)):
-        assert np.array_equal(f_hat, fftn_norm(f.values, grid.dim))
-    for f, f_hat in ((result.state.d, result.state.d_hat), (result.state.u, result.state.u_hat)):
-        assert np.array_equal(f.values, ifftn_norm(f_hat, grid.dim))
-    for state in (prev, result.state):
-        for f_hat in (state.d_hat, state.u_hat):
-            with pytest.raises(ValueError):
-                f_hat[0, 0, 0] = 1.0
+    mu = result.mu.values
+    assert calls == {"fftn_norm": 0, "ifftn_norm": 1}
+    assert result.mu.values is mu
+    assert calls == {"fftn_norm": 0, "ifftn_norm": 1}
+    assert np.array_equal(mu, ifftn_norm(result.mu.coeffs, grid.dim))
 
 
 def test_picard_config_validation():
