@@ -88,7 +88,6 @@ _KEYS = {
     "t_end": ("run", "t_end", float),
     "picard.tol": ("picard", "tol", float),
     "picard.max_iter": ("picard", "max_iter", int),
-    "picard.damping": ("picard", "damping", float),
     "picard.tau_shrink": ("picard", "tau_shrink", float),
     "picard.tau_min": ("picard", "tau_min", float),
     "ic.kind": ("ic", "kind", str),

@@ -73,29 +73,25 @@ def _bundle(f: VectorField, grid: GridSpec) -> Bundle:
     return padded_bundle(f.coeffs, grid)
 
 
-def _check_pair(a: VectorField, b: VectorField, grid: GridSpec | None) -> GridSpec:
-    grid = grid or a.grid
-    if a.grid != grid or b.grid != grid:
+def _check_pair(a: VectorField, b: VectorField) -> GridSpec:
+    grid = a.grid
+    if b.grid != grid:
         raise ValueError("fields live on different grids")
     if a.components != grid.dim or b.components != grid.dim:
         raise ValueError("expected dim-component fields")
     return grid
 
 
-def extra_velocity(
-    mu: VectorField, d: VectorField, alpha: float, grid: GridSpec | None = None
-) -> VectorField:
+def extra_velocity(mu: VectorField, d: VectorField, alpha: float) -> VectorField:
     """v = mu . grad d + alpha div{mu (x) d} - (1 - alpha) div{d (x) mu}."""
-    grid = _check_pair(mu, d, grid)
+    grid = _check_pair(mu, d)
     v = extra_velocity_hat([(_bundle(mu, grid), _bundle(d, grid))], alpha, grid)
     return VectorField.from_coefficients(grid, v)
 
 
-def director_transport(
-    d: VectorField, w: VectorField, alpha: float, grid: GridSpec | None = None
-) -> VectorField:
+def director_transport(d: VectorField, w: VectorField, alpha: float) -> VectorField:
     """T(d, w) = (w . grad) d - alpha (grad w) d + (1 - alpha) (grad^T w) d."""
-    grid = _check_pair(d, w, grid)
+    grid = _check_pair(d, w)
     t = director_transport_hat([(_bundle(d, grid), _bundle(w, grid))], alpha, grid)
     return VectorField.from_coefficients(grid, t)
 

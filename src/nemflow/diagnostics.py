@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .coupling import director_transport_hat
-from .energetics import ModelParams, total_energy_hat
+from .energetics import ModelParams, elastic_energy_hat, kinetic_energy_hat, total_energy_hat
 from .fields import GridSpec, VectorField, laplace_symbol, parseval_sum
 from .operators import grad_hat, max_mode_divergence, padded_bundle
 
@@ -91,9 +91,9 @@ def build_ledger(
     d_eps = params.epsilon * tau * parseval_sum(np.abs(mu_hat) ** 2)
 
     dd = d_hat - dp_hat
-    j_grad = 0.5 * parseval_sum(laplace_symbol(grid) * np.abs(dd) ** 2)
+    j_grad = elastic_energy_hat(dd, grid)
     j_d = parseval_sum(np.abs(dd) ** 2) / (2.0 * params.gamma)
-    j_u = 0.5 * params.rho * parseval_sum(np.abs(u_hat - up_hat) ** 2)
+    j_u = kinetic_energy_hat(u_hat - up_hat, params.rho)
 
     slack = prev_total - energy.total - (d_visc + d_friction + d_eps + j_grad + j_d + j_u)
 

@@ -116,13 +116,10 @@ def total_energy_hat(
 # public operations
 
 
-def chemical_potential(
-    d: VectorField, d_prev: VectorField, params: ModelParams, grid: GridSpec | None = None
-) -> VectorField:
+def chemical_potential(d: VectorField, d_prev: VectorField, params: ModelParams) -> VectorField:
     """Discrete first variation mu = P_k[-lap d + f_plus(d) + f_minus(d_prev)]."""
-    grid = grid or d.grid
-    mu = chemical_potential_hat(d.coeffs, d_prev.coeffs, grid, params.gamma)
-    return VectorField.from_coefficients(grid, mu)
+    mu = chemical_potential_hat(d.coeffs, d_prev.coeffs, d.grid, params.gamma)
+    return VectorField.from_coefficients(d.grid, mu)
 
 
 def total_energy(

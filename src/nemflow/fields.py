@@ -30,7 +30,9 @@ DEALIAS_MODES = ("none", "two_thirds", "exact")
 
 
 class NonFiniteError(ValueError):
-    """A field carries NaN or Inf samples."""
+    """NaN or Inf where finite numbers are required: in a field's samples or
+    coefficients, or in the nonlinear terms of an implicit-step iterate
+    (an overflow, which the stepper answers by halving the update or tau)."""
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .config import RunConfig
 from .diagnostics import check_energy_inequality, director_length_stats, h2_diagnostic
 from .energetics import total_energy_hat
@@ -74,13 +76,15 @@ def _csv_row(step: int, ledger, stats, div_u: float, h2: float) -> str:
     return ",".join(_fmt(c) for c in cells)
 
 
-def _extrapolated_guess(state: StepState, prev: StepState | None) -> StepState | None:
-    """Linear extrapolation in time as a solver warm start."""
+def _extrapolated_guess(
+    state: StepState, prev: StepState | None
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Linear extrapolation in time as a solver warm start: the (d_hat, u_hat)
+    coefficient pair 2 * state - prev, with u_hat Leray-projected."""
     if prev is None:
         return None
-    grid = state.grid
-    u_hat = leray_hat(2.0 * state.u.coeffs - prev.u.coeffs, grid)
-    return StepState.from_coefficients(grid, 2.0 * state.d.coeffs - prev.d.coeffs, u_hat, state.time)
+    u_hat = leray_hat(2.0 * state.u.coeffs - prev.u.coeffs, state.grid)
+    return 2.0 * state.d.coeffs - prev.d.coeffs, u_hat
 
 
 def run_simulation(cfg: RunConfig) -> RunReport:
@@ -118,14 +122,12 @@ def run_simulation(cfg: RunConfig) -> RunReport:
             trace.write(CSV_HEADER + "\n")
             while state.time < cfg.t_end - 1e-9 * cfg.params.tau:
                 guess = _extrapolated_guess(state, prev_state)
-                params, picard = cfg.params, cfg.picard
+                params = cfg.params
                 remaining = cfg.t_end - state.time
                 if remaining < params.tau - 1e-9 * params.tau:
                     params = replace(params, tau=remaining)
-                    if picard.tau_min is not None and picard.tau_min > remaining:
-                        picard = replace(picard, tau_min=remaining)
                 try:
-                    result = implicit_step(state, params, picard, guess=guess)
+                    result = implicit_step(state, params, cfg.picard, guess=guess)
                 except (PicardDivergenceError, NonFiniteError) as exc:
                     failure = f"step {step + 1}: {exc}"
                     status = EXIT_SOLVER

@@ -96,16 +96,16 @@ class StepState:
 class PicardConfig:
     """Controls for the fixed-point solver.
 
-    tau_min = None resolves to 1e-6 * tau at step time.  damping scales the
-    update along the solved direction; within one pass the backtracking line
-    search halves it until the residual decreases, and it resets for the next
-    pass.  max_iter caps the Newton passes per tau attempt, not the residual
-    evaluations: each pass's line search can spend up to 8 of them.
+    tau_min is the floor below which a failing step stops shrinking tau;
+    implicit_step resolves it as min(tau_min or 1e-6 * tau, tau), so a floor
+    above the step being taken (a shortened last step) allows exactly one
+    attempt.  max_iter caps the Newton passes per tau attempt, not the
+    residual evaluations: each pass's line search starts from the full update
+    and halves it up to 8 times until the residual decreases.
     """
 
     tol: float = 1e-10
     max_iter: int = 60
-    damping: float = 1.0
     tau_shrink: float = 0.5
     tau_min: float | None = None
 
@@ -114,8 +114,6 @@ class PicardConfig:
             raise ValueError("picard.tol > 0 required")
         if self.max_iter < 1:
             raise ValueError("picard.max_iter >= 1 required")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("picard.damping ∈ (0,1] violated")
         if not 0.0 < self.tau_shrink < 1.0:
             raise ValueError("picard.tau_shrink ∈ (0,1) violated")
         if self.tau_min is not None and not self.tau_min > 0:
@@ -129,10 +127,6 @@ class StepResult:
     v_extra: VectorField
     ledger: EnergyLedger
     tau_used: float
-
-
-class _NonFiniteIteration(Exception):
-    pass
 
 
 @dataclass
@@ -161,19 +155,18 @@ class _Workspace:
     balance, and the transport block coupling back.  One damped sweep is the
     preconditioned update x -> x - theta * G^{-1} F(x) with F the exact
     nonlinear residual, so converged iterates solve the unmodified scheme.
-    The symbol at -k is the conjugate of that at k, so only the modes of
-    the half layout get a block.
+    Overflow in an iterate's nonlinear terms raises NonFiniteError.  The
+    symbol at -k is the conjugate of that at k, so only the modes of the half
+    layout get a block.
     """
 
     def __init__(self, grid: GridSpec, params: ModelParams, tau: float,
-                 d_prev_hat: np.ndarray, u_prev_hat: np.ndarray,
-                 guess: tuple[np.ndarray, np.ndarray] | None = None):
+                 d_prev_hat: np.ndarray, u_prev_hat: np.ndarray):
         self.grid = grid
         self.params = params
         self.tau = tau
         self.d_prev = d_prev_hat
         self.u_prev = u_prev_hat
-        self.guess = guess
         self.lap = laplace_symbol(grid)
         # the cubic well term can reuse the quadratic bundles' samples of d
         self.cubic_on_bundle_grid = padded_size(grid, 3) == padded_size(grid, 2)
@@ -214,7 +207,7 @@ class _Workspace:
     def _finite(self, *arrays: np.ndarray) -> None:
         for a in arrays:
             if not np.all(np.isfinite(a)):
-                raise _NonFiniteIteration
+                raise NonFiniteError("iterate overflowed")
 
     def terms(self, d_hat: np.ndarray, u_hat: np.ndarray) -> _Terms:
         p, grid = self.params, self.grid
@@ -239,7 +232,7 @@ class _Workspace:
         underlying t.  All product operators are bilinear, so the derivative
         is a sum of the same operators with one argument replaced, and each
         such sum is truncated once."""
-        p, grid, tau = self.params, self.grid, self.tau
+        p, grid = self.params, self.grid
         dd_b = padded_bundle(delta_d, grid)
         dd3_p = dd_b[0] if self.cubic_on_bundle_grid else to_padded(delta_d, grid, degree=3)
         d3_p = t.d3_p
@@ -256,28 +249,22 @@ class _Workspace:
         dw_b = (du_b[0] + dv_b[0], du_b[1] + dv_b[1])
         dtrans = director_transport_hat([(dd_b, t.w_b), (t.d_b, dw_b)], p.alpha, grid)
         dconv = convective_hat([(du_b[0], t.u_b[1]), (t.u_b[0], du_b[1])], grid)
-        df_d = delta_d + tau * dtrans + p.epsilon * tau * dmu
-        df_u = leray_hat(
-            p.rho * delta_u + tau * p.rho * dconv
-            + tau * p.eta * self.lap * delta_u - tau * dv,
-            grid,
-        )
-        return df_d, df_u
+        return self._assemble(delta_d, delta_u, delta_u, dtrans, dmu, dconv, dv)
 
     def residual_fields(self, d_hat, u_hat, t: _Terms) -> tuple[np.ndarray, np.ndarray]:
+        return self._assemble(d_hat - self.d_prev, u_hat - self.u_prev, u_hat,
+                              t.transport, t.mu, t.conv, t.v)
+
+    def _assemble(self, jump_d, jump_u, u, transport, mu, conv, v):
+        """The director and momentum equations, linear in every argument:
+        the residual at an iterate, or its derivative along a direction."""
         p, tau = self.params, self.tau
-        r_d = d_hat - self.d_prev + tau * t.transport + p.epsilon * tau * t.mu
+        r_d = jump_d + tau * transport + p.epsilon * tau * mu
         r_u = leray_hat(
-            p.rho * (u_hat - self.u_prev) + tau * p.rho * t.conv
-            + tau * p.eta * self.lap * u_hat - tau * t.v,
+            p.rho * jump_u + tau * p.rho * conv + tau * p.eta * self.lap * u - tau * v,
             self.grid,
         )
         return r_d, r_u
-
-    def norms(self, d_hat, u_hat, r_d, r_u) -> tuple[float, float]:
-        rd = spectral_l2_norm(r_d) / (1.0 + spectral_l2_norm(d_hat))
-        ru = spectral_l2_norm(r_u) / (1.0 + spectral_l2_norm(u_hat))
-        return rd, ru
 
     def precondition_vec(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """G^{-1} applied to an iterate vector of residual fields, then split
@@ -340,39 +327,44 @@ def _gmres(matvec, b: np.ndarray, rel_tol: float, max_inner: int) -> np.ndarray:
     return out
 
 
-def _picard_attempt(ws: _Workspace, cfg: PicardConfig):
-    """Drive the residual to tolerance; returns None on a stall.
+def _picard_attempt(ws: _Workspace, cfg: PicardConfig,
+                    guess: tuple[np.ndarray, np.ndarray] | None):
+    """Drive the residual to tolerance from guess (or the previous level);
+    returns None on a stall.
 
     Inexact Newton: each outer pass solves the linearised system with a few
     matrix-free GMRES iterations, right-preconditioned by the frozen-symbol
     blocks, then backtracks along the update until the residual decreases.
     The solved system is the unmodified implicit scheme; iters counts outer
-    residual evaluations.
+    residual evaluations.  An overflowing guess falls back to the previous
+    level; an overflowing previous level raises NonFiniteError.
     """
 
     def evaluate(x):
-        # overflow in a trial iterate is handled via _NonFiniteIteration
+        # overflow in a trial iterate surfaces as NonFiniteError from ws.terms
         with np.errstate(over="ignore", invalid="ignore"):
             d_hat, u_hat = ws.split(x)
             t = ws.terms(d_hat, u_hat)
             r_d, r_u = ws.residual_fields(d_hat, u_hat, t)
-            rd, ru = ws.norms(d_hat, u_hat, r_d, r_u)
+            rd = spectral_l2_norm(r_d) / (1.0 + spectral_l2_norm(d_hat))
+            ru = spectral_l2_norm(r_u) / (1.0 + spectral_l2_norm(u_hat))
         return max(rd, ru), (d_hat, u_hat, t, r_d, r_u)
 
-    x = ws.join(*ws.guess) if ws.guess is not None else ws.join(ws.d_prev, ws.u_prev)
+    x = ws.join(*guess) if guess is not None else ws.join(ws.d_prev, ws.u_prev)
     try:
         res, payload = evaluate(x)
-    except _NonFiniteIteration:
-        if ws.guess is None:
+    except NonFiniteError:
+        if guess is None:
             raise
         x = ws.join(ws.d_prev, ws.u_prev)
         res, payload = evaluate(x)
     evals = 1
 
-    for _ in range(cfg.max_iter):
-        if res <= cfg.tol:
-            d_hat, u_hat, t, _, _ = payload
-            return d_hat, u_hat, t, evals, res
+    passes = 0
+    while not res <= cfg.tol:  # a nan residual never counts as converged
+        if passes == cfg.max_iter:
+            return None
+        passes += 1
         d_hat, u_hat, t, r_d, r_u = payload
 
         def matvec(y):
@@ -383,65 +375,59 @@ def _picard_attempt(ws: _Workspace, cfg: PicardConfig):
         y = _gmres(matvec, rhs, forcing, max_inner=24)
         step = ws.join(*ws.precondition_vec(y))
 
-        theta = cfg.damping
-        accepted = False
+        theta = 1.0
         for _ in range(8):
+            trial = x - theta * step
+            theta *= 0.5
             try:
-                res_new, payload_new = evaluate(x - theta * step)
-            except _NonFiniteIteration:
-                theta *= 0.5
+                res_new, payload_new = evaluate(trial)
+            except NonFiniteError:
                 continue
             evals += 1
             if res_new < res:
-                x = x - theta * step
-                res, payload = res_new, payload_new
-                accepted = True
+                x, res, payload = trial, res_new, payload_new
                 break
-            theta *= 0.5
-        if not accepted:
+        else:
             return None
-    if res <= cfg.tol:
-        d_hat, u_hat, t, _, _ = payload
-        return d_hat, u_hat, t, evals, res
-    return None
+    d_hat, u_hat, t, _, _ = payload
+    return d_hat, u_hat, t, evals, res
 
 
 def implicit_step(
     prev: StepState,
     params: ModelParams,
     cfg: PicardConfig | None = None,
-    guess: StepState | None = None,
+    guess: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> StepResult:
     """Advance one step of the implicit scheme, shrinking tau on failure.
 
-    guess is an optional warm start for the iteration (e.g. an extrapolation
-    from earlier steps); it never changes the converged solution, only how
-    fast the solver reaches it.  Raises PicardDivergenceError when tau would
-    fall below tau_min without convergence, NonFiniteError when the iteration
-    keeps overflowing.
+    guess is an optional warm start, a (d_hat, u_hat) pair of half-layout
+    coefficients (e.g. an extrapolation from earlier levels); it is used for
+    the first tau attempt only and never changes the converged solution, only
+    how fast the solver reaches it.  The tau floor is
+    min(cfg.tau_min or 1e-6 * tau, tau).  Raises PicardDivergenceError when
+    tau would fall below the floor without convergence, NonFiniteError when
+    the last attempt overflowed.
     """
     cfg = cfg or PicardConfig()
     if params.epsilon <= 0:
         raise ValueError("epsilon > 0 required by the implicit stepper")
     grid = prev.grid
-    tau_min = cfg.tau_min if cfg.tau_min is not None else 1e-6 * params.tau
-    if not 0.0 < tau_min <= params.tau:
-        raise ValueError("picard.tau_min must satisfy 0 < tau_min <= tau")
+    tau_min = min(cfg.tau_min or 1e-6 * params.tau, params.tau)
 
-    guess_hats = (guess.d.coeffs, guess.u.coeffs) if guess is not None else None
     tau = params.tau
     while True:
-        ws = _Workspace(grid, params, tau, prev.d.coeffs, prev.u.coeffs, guess_hats)
+        ws = _Workspace(grid, params, tau, prev.d.coeffs, prev.u.coeffs)
         overflowed = False
         try:
-            out = _picard_attempt(ws, cfg)
-        except _NonFiniteIteration:
+            out = _picard_attempt(ws, cfg, guess)
+        except NonFiniteError:
             out = None
             overflowed = True
         if out is not None:
             break
         tau *= cfg.tau_shrink
-        guess_hats = None  # retry conservatively from the previous level
+        guess = None  # retry conservatively from the previous level
         if tau < tau_min:
             if overflowed:
                 raise NonFiniteError(

@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import pytest
 
 from nemflow.cli import main as cli_main
-from nemflow.config import ConfigError, parse_config
+from nemflow.config import _KEYS, ConfigError, parse_config
 from nemflow.operators import padded_size
 
 MINIMAL = """
@@ -21,7 +23,6 @@ def test_minimal_config_defaults():
     assert cfg.params.alpha == 0.5
     assert cfg.params.rho == 1.0
     assert cfg.params.eta == 1.0
-    assert cfg.picard.damping == 1.0
     assert cfg.ic.kind == "uniform_perturbed"
     assert cfg.output.snapshot_every == 0
 
@@ -45,8 +46,21 @@ def test_padding_factor_is_unknown_key():
 
 
 def test_unknown_key_is_hard_error_with_line():
-    with pytest.raises(ConfigError, match="line 6.*unknown key"):
-        parse_config(MINIMAL + "viscosity = 2\n")
+    # a removed key is rejected like a typo, not ignored
+    for line in ("viscosity = 2", "picard.damping = 1.0"):
+        with pytest.raises(ConfigError, match="line 6.*unknown key"):
+            parse_config(MINIMAL + line + "\n")
+
+
+def test_readme_configuration_block_parses():
+    """The README documents every key, each with a valid value, so a removed
+    or renamed key cannot stay documented."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Configuration", 1)[1]
+    block = section.split("```", 2)[1]
+    parse_config(block)
+    keys = {line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line}
+    assert keys == set(_KEYS)
 
 
 def test_malformed_line_reports_line_number():

@@ -14,6 +14,8 @@ from nemflow.stepper import (
 )
 from nemflow.diagnostics import spectral_divergence_max
 from nemflow.fields import NonFiniteError, l2_norm
+from nemflow.operators import leray_hat
+from nemflow.runner import _extrapolated_guess
 from util import perturbed_director, solenoidal
 
 
@@ -39,19 +41,24 @@ def test_state_invariants_enforced():
 
 def test_each_level_is_transformed_once(monkeypatch):
     """A new level, mu and v hold the solver's own coefficients, so a step
-    warm-started from coefficients transforms nothing; a sampled view is
-    synthesised once, on first read."""
+    warm-started from two coefficient levels transforms nothing; a sampled
+    view is synthesised once, on first read."""
     grid = GridSpec(2, 16, "exact")
-    d = perturbed_director(grid, seed=51, amplitude=0.1)
-    u = solenoidal(grid, seed=52, kcut=2, scale=0.1)
-    prev = StepState.from_coefficients(grid, d.coeffs, u.coeffs, 0.0)
-    guess = StepState.from_coefficients(grid, d.coeffs, u.coeffs, 0.0)
+    d0 = perturbed_director(grid, seed=51, amplitude=0.1).coeffs
+    u0 = solenoidal(grid, seed=52, kcut=2, scale=0.1).coeffs
+    d1 = perturbed_director(grid, seed=53, amplitude=0.1).coeffs
+    u1 = solenoidal(grid, seed=54, kcut=2, scale=0.1).coeffs
+    older = StepState.from_coefficients(grid, d0, u0, 0.0)
+    prev = StepState.from_coefficients(grid, d1, u1, 1e-3)
     calls = {"fftn_norm": 0, "ifftn_norm": 0}
     for name in calls:
         def counted(*args, name=name, transform=getattr(fields, name)):
             calls[name] += 1
             return transform(*args)
         monkeypatch.setattr(fields, name, counted)
+    guess = _extrapolated_guess(prev, older)
+    assert np.array_equal(guess[0], 2.0 * d1 - d0)
+    assert np.array_equal(guess[1], leray_hat(2.0 * u1 - u0, grid))
     params = ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3)
     result = implicit_step(prev, params, PicardConfig(tol=1e-11), guess=guess)
     assert calls == {"fftn_norm": 0, "ifftn_norm": 0}
@@ -66,8 +73,6 @@ def test_each_level_is_transformed_once(monkeypatch):
 def test_picard_config_validation():
     with pytest.raises(ValueError, match="tol"):
         PicardConfig(tol=0.0)
-    with pytest.raises(ValueError, match="damping"):
-        PicardConfig(damping=1.5)
     with pytest.raises(ValueError, match="tau_shrink"):
         PicardConfig(tau_shrink=1.0)
 
@@ -247,6 +252,34 @@ def test_divergence_error_when_tau_floor_reached():
         implicit_step(prev, params, cfg)
 
 
+def test_tau_floor_above_tau_allows_one_attempt(monkeypatch):
+    """A floor above tau (as on a shortened last step) is clamped to tau: an
+    easy step runs at tau, a failing one raises after a single attempt."""
+    grid = GridSpec(2, 16, "exact")
+    easy = StepState(perturbed_director(grid, seed=33, amplitude=0.1),
+                     solenoidal(grid, seed=34, kcut=2, scale=0.1))
+    params = ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3)
+    result = implicit_step(easy, params, PicardConfig(tol=1e-11, tau_min=2 * params.tau))
+    assert result.tau_used == params.tau
+
+    attempts = []
+    real_init = _Workspace.__init__
+
+    def counted(self, *args):
+        attempts.append(args[2])
+        real_init(self, *args)
+
+    monkeypatch.setattr(_Workspace, "__init__", counted)
+    grid = GridSpec(2, 8, "exact")
+    prev = StepState(perturbed_director(grid, seed=61, amplitude=0.3),
+                     solenoidal(grid, seed=62, kcut=2, scale=0.3))
+    params = ModelParams(alpha=0.3, gamma=1e-4, epsilon=1e-9, tau=1e6)
+    cfg = PicardConfig(tol=1e-13, max_iter=4, tau_min=2 * params.tau)
+    with pytest.raises((PicardDivergenceError, NonFiniteError)):
+        implicit_step(prev, params, cfg)
+    assert attempts == [params.tau]
+
+
 def test_convective_energy_neutrality():
     """In exact mode the computed convection term cannot feed the kinetic
     energy: its pairing with u vanishes to round-off."""
@@ -304,11 +337,7 @@ def test_warm_start_does_not_change_solution():
     params = ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3)
     cfg = PicardConfig(tol=1e-12)
     plain = implicit_step(prev, params, cfg)
-    guess = StepState(
-        VectorField(grid, plain.state.d.values + 1e-4),
-        plain.state.u,
-        prev.time,
-    )
+    guess = (VectorField(grid, plain.state.d.values + 1e-4).coeffs, plain.state.u.coeffs)
     warm = implicit_step(prev, params, cfg, guess=guess)
     assert np.max(np.abs(warm.state.d.values - plain.state.d.values)) < 5e-11
     assert np.max(np.abs(warm.state.u.values - plain.state.u.values)) < 5e-11
