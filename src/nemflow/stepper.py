@@ -21,7 +21,7 @@ the preconditioner never alters what is solved, only how fast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,7 +50,8 @@ from .operators import (
 
 
 class PicardDivergenceError(RuntimeError):
-    """The Picard iteration failed to converge down to the smallest allowed tau."""
+    """No tau down to the floor converged and the last attempt did not overflow;
+    the message lists every attempt: tau, outcome, evals and residual."""
 
 
 @dataclass(frozen=True)
@@ -83,13 +84,6 @@ class StepState:
     @property
     def grid(self) -> GridSpec:
         return self.d.grid
-
-    @staticmethod
-    def from_coefficients(grid: GridSpec, d_hat: np.ndarray, u_hat: np.ndarray,
-                          time: float) -> "StepState":
-        """The level that holds these half-layout coefficients."""
-        return StepState(VectorField.from_coefficients(grid, d_hat),
-                         VectorField.from_coefficients(grid, u_hat), time)
 
 
 @dataclass(frozen=True)
@@ -143,6 +137,21 @@ class _Terms:
     w_b: tuple[np.ndarray, np.ndarray]
     u_b: tuple[np.ndarray, np.ndarray]
     d3_p: np.ndarray      # samples of d on the cubic-degree padded grid
+
+
+@dataclass(frozen=True)
+class Attempt:
+    """How one tau attempt ended: "converged", "line_search" (no trial along a
+    pass's update lowered the residual), "pass_cap" (max_iter passes) or
+    "overflow" (every start overflowed).  evals counts residual evaluations of
+    finite iterates, the start's included; residual is the last one (inf on
+    overflow); solution is the converged (d_hat, u_hat, terms), else None."""
+
+    tau: float
+    outcome: str
+    evals: int
+    residual: float
+    solution: tuple[np.ndarray, np.ndarray, _Terms] | None = field(default=None, repr=False)
 
 
 class _Workspace:
@@ -328,20 +337,18 @@ def _gmres(matvec, b: np.ndarray, rel_tol: float, max_inner: int) -> np.ndarray:
 
 
 def _picard_attempt(ws: _Workspace, cfg: PicardConfig,
-                    guess: tuple[np.ndarray, np.ndarray] | None):
-    """Drive the residual to tolerance from guess (or the previous level);
-    returns None on a stall.
+                    guess: tuple[np.ndarray, np.ndarray] | None) -> Attempt:
+    """Drive the residual to tolerance at ws.tau; every ending is an Attempt.
 
     Inexact Newton: each outer pass solves the linearised system with a few
     matrix-free GMRES iterations, right-preconditioned by the frozen-symbol
     blocks, then backtracks along the update until the residual decreases.
-    The solved system is the unmodified implicit scheme; iters counts outer
-    residual evaluations.  An overflowing guess falls back to the previous
-    level; an overflowing previous level raises NonFiniteError.
+    The solved system is the unmodified implicit scheme.  The start is the
+    guess, or the previous level if there is none or it overflows.
     """
 
     def evaluate(x):
-        # overflow in a trial iterate surfaces as NonFiniteError from ws.terms
+        # overflow in the iterate surfaces as NonFiniteError from ws.terms
         with np.errstate(over="ignore", invalid="ignore"):
             d_hat, u_hat = ws.split(x)
             t = ws.terms(d_hat, u_hat)
@@ -350,29 +357,32 @@ def _picard_attempt(ws: _Workspace, cfg: PicardConfig,
             ru = spectral_l2_norm(r_u) / (1.0 + spectral_l2_norm(u_hat))
         return max(rd, ru), (d_hat, u_hat, t, r_d, r_u)
 
-    x = ws.join(*guess) if guess is not None else ws.join(ws.d_prev, ws.u_prev)
-    try:
-        res, payload = evaluate(x)
-    except NonFiniteError:
-        if guess is None:
-            raise
-        x = ws.join(ws.d_prev, ws.u_prev)
-        res, payload = evaluate(x)
-    evals = 1
+    for start in ([] if guess is None else [guess]) + [(ws.d_prev, ws.u_prev)]:
+        x = ws.join(*start)
+        try:
+            res, payload = evaluate(x)
+            break
+        except NonFiniteError:
+            pass
+    else:
+        return Attempt(ws.tau, "overflow", 0, np.inf)
 
-    passes = 0
+    evals, passes = 1, 0
     while not res <= cfg.tol:  # a nan residual never counts as converged
         if passes == cfg.max_iter:
-            return None
+            return Attempt(ws.tau, "pass_cap", evals, res)
         passes += 1
-        d_hat, u_hat, t, r_d, r_u = payload
+        _, _, t, r_d, r_u = payload
 
         def matvec(y):
             return ws.join(*ws.jacobian_action(t, *ws.precondition_vec(y)))
 
-        rhs = ws.join(r_d, r_u)
+        # Eisenstat-Walker-style forcing (SISC 1996), relative to |F|: at most
+        # 0.5 so each pass still halves the linearised residual, like sqrt(res)
+        # so the passes converge superlinearly, and at least 3 tol / res so
+        # GMRES never aims below about 3 tol, which the outer test cannot use.
         forcing = min(0.5, max(np.sqrt(res) * 0.3, 3.0 * cfg.tol / max(res, cfg.tol)))
-        y = _gmres(matvec, rhs, forcing, max_inner=24)
+        y = _gmres(matvec, ws.join(r_d, r_u), forcing, max_inner=24)
         step = ws.join(*ws.precondition_vec(y))
 
         theta = 1.0
@@ -388,9 +398,8 @@ def _picard_attempt(ws: _Workspace, cfg: PicardConfig,
                 x, res, payload = trial, res_new, payload_new
                 break
         else:
-            return None
-    d_hat, u_hat, t, _, _ = payload
-    return d_hat, u_hat, t, evals, res
+            return Attempt(ws.tau, "line_search", evals, res)
+    return Attempt(ws.tau, "converged", evals, res, payload[:3])
 
 
 def implicit_step(
@@ -404,10 +413,10 @@ def implicit_step(
     guess is an optional warm start, a (d_hat, u_hat) pair of half-layout
     coefficients (e.g. an extrapolation from earlier levels); it is used for
     the first tau attempt only and never changes the converged solution, only
-    how fast the solver reaches it.  The tau floor is
-    min(cfg.tau_min or 1e-6 * tau, tau).  Raises PicardDivergenceError when
-    tau would fall below the floor without convergence, NonFiniteError when
-    the last attempt overflowed.
+    how fast the solver reaches it.  A failed attempt multiplies tau by
+    cfg.tau_shrink and retries from the previous level, down to the floor
+    min(cfg.tau_min or 1e-6 * tau, tau); below it, raises NonFiniteError if
+    the last attempt overflowed, else PicardDivergenceError, listing them all.
     """
     cfg = cfg or PicardConfig()
     if params.epsilon <= 0:
@@ -415,34 +424,24 @@ def implicit_step(
     grid = prev.grid
     tau_min = min(cfg.tau_min or 1e-6 * params.tau, params.tau)
 
-    tau = params.tau
-    while True:
-        ws = _Workspace(grid, params, tau, prev.d.coeffs, prev.u.coeffs)
-        overflowed = False
-        try:
-            out = _picard_attempt(ws, cfg, guess)
-        except NonFiniteError:
-            out = None
-            overflowed = True
-        if out is not None:
-            break
-        tau *= cfg.tau_shrink
-        guess = None  # retry conservatively from the previous level
+    tau, attempts = params.tau, []
+    while not attempts or attempts[-1].solution is None:
         if tau < tau_min:
-            if overflowed:
-                raise NonFiniteError(
-                    "implicit step overflowed down to tau_min; state is blowing up "
-                    "or tau is far too large"
-                )
-            raise PicardDivergenceError("Picard iteration stalled down to tau_min")
+            error = NonFiniteError if attempts[-1].outcome == "overflow" else PicardDivergenceError
+            tried = "; ".join(f"tau {a.tau} {a.outcome} after {a.evals} evals, "
+                              f"residual {a.residual:.3e}" for a in attempts)
+            raise error(f"implicit step failed at every tau down to the floor {tau_min}: {tried}")
+        ws = _Workspace(grid, params, tau, prev.d.coeffs, prev.u.coeffs)
+        attempts.append(_picard_attempt(ws, cfg, None if attempts else guess))
+        tau *= cfg.tau_shrink
 
-    d_hat, u_hat, t, iters, res = out
-    state = StepState.from_coefficients(grid, d_hat, u_hat, prev.time + tau)
-    mu = VectorField.from_coefficients(grid, t.mu)
-    v_extra = VectorField.from_coefficients(grid, t.v)
-    used = replace(params, tau=tau)
-    ledger = build_ledger(prev, state, t.mu, t.v, used, picard_iters=iters, picard_residual=res)
-    return StepResult(state, mu, v_extra, ledger, tau)
+    done = attempts[-1]
+    d_hat, u_hat, t = done.solution
+    d, u, mu, v_extra = (VectorField.from_coefficients(grid, c) for c in (d_hat, u_hat, t.mu, t.v))
+    state = StepState(d, u, prev.time + done.tau)
+    ledger = build_ledger(prev, state, t.mu, t.v, replace(params, tau=done.tau),
+                          picard_iters=done.evals, picard_residual=done.residual)
+    return StepResult(state, mu, v_extra, ledger, done.tau)
 
 
 def residual_fully_implicit(

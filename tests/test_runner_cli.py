@@ -287,6 +287,7 @@ def test_solver_failure_keeps_partial_outputs(tmp_path):
     report = run_simulation(cfg)
     assert report.status == 3
     assert report.failure is not None
+    assert "pass_cap" in report.failure
     lines = report.trace_path.read_text().splitlines()
     assert lines[0] == CSV_HEADER  # partial outputs survive the failure
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,29 @@ from nemflow.stepper import (
 )
 from nemflow.diagnostics import spectral_divergence_max
 from nemflow.fields import NonFiniteError, l2_norm
+from nemflow.initial import initial_condition
 from nemflow.operators import leray_hat
 from nemflow.runner import _extrapolated_guess
 from util import perturbed_director, solenoidal
+
+
+def _attempts(exc):
+    """(tau, outcome, evals) of every attempt a failure message lists."""
+    return [(float(tau), outcome, int(evals))
+            for tau, outcome, evals in re.findall(r"tau (\S+) (\w+) after (\d+) evals", str(exc))]
+
+
+def _count_workspaces(monkeypatch):
+    """The tau of every _Workspace built from now on, one per tau attempt."""
+    taus = []
+    real_init = _Workspace.__init__
+
+    def counted(self, *args):
+        taus.append(args[2])
+        real_init(self, *args)
+
+    monkeypatch.setattr(_Workspace, "__init__", counted)
+    return taus
 
 
 def _uniform_state(grid):
@@ -48,8 +70,10 @@ def test_each_level_is_transformed_once(monkeypatch):
     u0 = solenoidal(grid, seed=52, kcut=2, scale=0.1).coeffs
     d1 = perturbed_director(grid, seed=53, amplitude=0.1).coeffs
     u1 = solenoidal(grid, seed=54, kcut=2, scale=0.1).coeffs
-    older = StepState.from_coefficients(grid, d0, u0, 0.0)
-    prev = StepState.from_coefficients(grid, d1, u1, 1e-3)
+    older = StepState(VectorField.from_coefficients(grid, d0),
+                      VectorField.from_coefficients(grid, u0), 0.0)
+    prev = StepState(VectorField.from_coefficients(grid, d1),
+                     VectorField.from_coefficients(grid, u1), 1e-3)
     calls = {"fftn_norm": 0, "ifftn_norm": 0}
     for name in calls:
         def counted(*args, name=name, transform=getattr(fields, name)):
@@ -248,8 +272,9 @@ def test_divergence_error_when_tau_floor_reached():
     # an absurd time step with no room to shrink must fail loudly
     params = ModelParams(alpha=0.3, gamma=1e-4, epsilon=1e-9, tau=1e6)
     cfg = PicardConfig(tol=1e-13, max_iter=4, tau_min=0.9e6)
-    with pytest.raises((PicardDivergenceError, NonFiniteError)):
+    with pytest.raises(PicardDivergenceError) as err:
         implicit_step(prev, params, cfg)
+    assert [a[:2] for a in _attempts(err.value)] == [(params.tau, "pass_cap")]
 
 
 def test_tau_floor_above_tau_allows_one_attempt(monkeypatch):
@@ -262,22 +287,51 @@ def test_tau_floor_above_tau_allows_one_attempt(monkeypatch):
     result = implicit_step(easy, params, PicardConfig(tol=1e-11, tau_min=2 * params.tau))
     assert result.tau_used == params.tau
 
-    attempts = []
-    real_init = _Workspace.__init__
-
-    def counted(self, *args):
-        attempts.append(args[2])
-        real_init(self, *args)
-
-    monkeypatch.setattr(_Workspace, "__init__", counted)
+    attempts = _count_workspaces(monkeypatch)
     grid = GridSpec(2, 8, "exact")
     prev = StepState(perturbed_director(grid, seed=61, amplitude=0.3),
                      solenoidal(grid, seed=62, kcut=2, scale=0.3))
     params = ModelParams(alpha=0.3, gamma=1e-4, epsilon=1e-9, tau=1e6)
     cfg = PicardConfig(tol=1e-13, max_iter=4, tau_min=2 * params.tau)
-    with pytest.raises((PicardDivergenceError, NonFiniteError)):
+    with pytest.raises(PicardDivergenceError, match="pass_cap"):
         implicit_step(prev, params, cfg)
     assert attempts == [params.tau]
+
+
+def test_line_search_stall_is_named():
+    """An attempt whose update no trial can improve ends in the line search."""
+    grid = GridSpec(2, 8, "two_thirds")
+    prev = initial_condition("random_smooth", grid, 1, 0.2)
+    params = ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3)
+    with pytest.raises(PicardDivergenceError) as err:
+        implicit_step(prev, params, PicardConfig(tau_min=params.tau))
+    assert _attempts(err.value) == [(params.tau, "line_search", 47)]
+
+
+def _overflowing_level():
+    """A director with an exactly zero mean, so the frozen preconditioner sees
+    b = 0, and 1e103 on modes (0, 1) and (+-1, 0), so the cubic well term
+    overflows at the first evaluation.  (A mean that is not exactly zero
+    overflows the preconditioner assembly instead.)"""
+    grid = GridSpec(2, 8, "exact")
+    d_hat = np.zeros((2, 8, 5), dtype=np.complex128)
+    d_hat[0, 0, 1] = d_hat[0, 1, 0] = d_hat[0, -1, 0] = 1e103
+    return StepState(VectorField.from_coefficients(grid, d_hat), VectorField.zeros(grid, 2))
+
+
+def test_overflow_is_named(monkeypatch):
+    prev = _overflowing_level()
+    params = ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3)
+    with pytest.raises(NonFiniteError) as err:
+        implicit_step(prev, params, PicardConfig(tau_min=params.tau))
+    assert _attempts(err.value) == [(params.tau, "overflow", 0)]
+
+    # with the default floor, every tau down to it is tried and listed
+    taus = _count_workspaces(monkeypatch)
+    with pytest.raises(NonFiniteError) as err:
+        implicit_step(prev, params)
+    assert len(taus) == 20
+    assert _attempts(err.value) == [(tau, "overflow", 0) for tau in taus]
 
 
 def test_convective_energy_neutrality():
@@ -328,12 +382,17 @@ def test_krylov_directions_are_real_fields(monkeypatch):
     assert all(anti <= 1e-14 * top for anti, top in seen)
 
 
-def test_warm_start_does_not_change_solution():
+def _warm_start_level():
     grid = GridSpec(2, 16, "exact")
-    prev = StepState(
+    return StepState(
         perturbed_director(grid, seed=71, amplitude=0.15),
         solenoidal(grid, seed=72, kcut=2, scale=0.15),
     )
+
+
+def test_warm_start_does_not_change_solution():
+    prev = _warm_start_level()
+    grid = prev.grid
     params = ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3)
     cfg = PicardConfig(tol=1e-12)
     plain = implicit_step(prev, params, cfg)
@@ -341,3 +400,18 @@ def test_warm_start_does_not_change_solution():
     warm = implicit_step(prev, params, cfg, guess=guess)
     assert np.max(np.abs(warm.state.d.values - plain.state.d.values)) < 5e-11
     assert np.max(np.abs(warm.state.u.values - plain.state.u.values)) < 5e-11
+
+
+def test_overflowing_guess_falls_back_to_previous_level():
+    """A warm start that overflows is dropped within the same attempt: the
+    step restarts from the previous level at the same tau, exactly as
+    without a guess."""
+    prev = _warm_start_level()
+    params = ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3)
+    cfg = PicardConfig(tol=1e-12)
+    plain = implicit_step(prev, params, cfg)
+    wild = implicit_step(prev, params, cfg, guess=(1e120 * prev.d.coeffs, prev.u.coeffs))
+    assert np.array_equal(wild.state.d.coeffs, plain.state.d.coeffs)
+    assert np.array_equal(wild.state.u.coeffs, plain.state.u.coeffs)
+    assert wild.tau_used == plain.tau_used == params.tau
+    assert wild.ledger.picard_iters == plain.ledger.picard_iters == 8
