@@ -7,14 +7,13 @@ each term of that balance so runs certify themselves.
 """
 
 from .config import ConfigError, RunConfig, load_config, parse_config
-from .coupling import director_transport, extra_velocity
+from .coupling import director_transport
 from .diagnostics import (
     EnergyLedger,
     build_ledger,
     check_energy_inequality,
     director_length_stats,
     h2_diagnostic,
-    transport_only_run,
 )
 from .energetics import (
     EnergyBreakdown,
@@ -64,7 +63,6 @@ __all__ = [
     "director_length_stats",
     "director_transport",
     "divergence",
-    "extra_velocity",
     "gradient",
     "h2_diagnostic",
     "implicit_step",
@@ -77,6 +75,5 @@ __all__ = [
     "residual_fully_implicit",
     "run_simulation",
     "total_energy",
-    "transport_only_run",
     "write_snapshot",
 ]

@@ -1,14 +1,13 @@
 """The two nonlinear operators coupling director and flow.
 
-extra_velocity is the elastic contribution
-    v_i = sum_j mu_j d_i d_j/dx_i ... spelled out:
+extra_velocity_hat is the elastic contribution
     v = mu . grad d + alpha div{mu (x) d} - (1 - alpha) div{d (x) mu}
 with (mu . grad d)_i = sum_j mu_j d(d_j)/dx_i (transpose-Jacobian action) and
 (a (x) b)_{ij} = a_i b_j.  The same field drives the director transport and
 enters the momentum balance as the elastic force, which is what makes the
 +/- int u.v terms cancel exactly in the discrete energy identity.
 
-director_transport is the deformation law
+director_transport_hat is the deformation law
     T(d, w) = (w . grad) d - alpha (grad w) d + (1 - alpha) (grad^T w) d,
 the weak-form adjoint of the extra-velocity bracket.
 
@@ -69,29 +68,13 @@ def convective_hat(bundles: Iterable[Bundle], grid: GridSpec) -> np.ndarray:
     return from_padded(sum(terms[1:], terms[0]), grid)
 
 
-def _bundle(f: VectorField, grid: GridSpec) -> Bundle:
-    return padded_bundle(f.coeffs, grid)
-
-
-def _check_pair(a: VectorField, b: VectorField) -> GridSpec:
-    grid = a.grid
-    if b.grid != grid:
-        raise ValueError("fields live on different grids")
-    if a.components != grid.dim or b.components != grid.dim:
-        raise ValueError("expected dim-component fields")
-    return grid
-
-
-def extra_velocity(mu: VectorField, d: VectorField, alpha: float) -> VectorField:
-    """v = mu . grad d + alpha div{mu (x) d} - (1 - alpha) div{d (x) mu}."""
-    grid = _check_pair(mu, d)
-    v = extra_velocity_hat([(_bundle(mu, grid), _bundle(d, grid))], alpha, grid)
-    return VectorField.from_coefficients(grid, v)
-
-
 def director_transport(d: VectorField, w: VectorField, alpha: float) -> VectorField:
     """T(d, w) = (w . grad) d - alpha (grad w) d + (1 - alpha) (grad^T w) d."""
-    grid = _check_pair(d, w)
-    t = director_transport_hat([(_bundle(d, grid), _bundle(w, grid))], alpha, grid)
-    return VectorField.from_coefficients(grid, t)
+    grid = d.grid
+    if w.grid != grid:
+        raise ValueError("fields live on different grids")
+    if d.components != grid.dim or w.components != grid.dim:
+        raise ValueError("expected dim-component fields")
+    pair = (padded_bundle(d.coeffs, grid), padded_bundle(w.coeffs, grid))
+    return VectorField.from_coefficients(grid, director_transport_hat([pair], alpha, grid))
 

@@ -17,10 +17,9 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .coupling import director_transport_hat
 from .energetics import ModelParams, elastic_energy_hat, kinetic_energy_hat, total_energy_hat
 from .fields import GridSpec, VectorField, laplace_symbol, parseval_sum
-from .operators import grad_hat, max_mode_divergence, padded_bundle
+from .operators import grad_hat, max_mode_divergence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .stepper import StepState
@@ -35,7 +34,6 @@ class EnergyLedger:
     e_well: float
     e_kinetic: float
     e_total: float
-    prev_total: float
     d_visc: float
     d_friction: float
     d_eps: float
@@ -45,13 +43,6 @@ class EnergyLedger:
     slack: float
     picard_iters: int
     picard_residual: float
-
-
-@dataclass(frozen=True)
-class InequalityCheck:
-    passed: bool
-    slack: float
-    budget: float
 
 
 class LengthStats(NamedTuple):
@@ -103,7 +94,6 @@ def build_ledger(
         e_well=energy.well,
         e_kinetic=energy.kinetic,
         e_total=energy.total,
-        prev_total=prev_total,
         d_visc=d_visc,
         d_friction=d_friction,
         d_eps=d_eps,
@@ -116,16 +106,10 @@ def build_ledger(
     )
 
 
-def check_energy_inequality(ledger: EnergyLedger, budget: float | None = None) -> InequalityCheck:
-    """Pass iff slack >= -budget.
-
-    Without an explicit budget, 10 * achieved-residual * (1 + previous total
-    energy) is used; callers tracking a whole run should supply
-    10 * picard_tol * (1 + initial energy) instead.
-    """
-    if budget is None:
-        budget = 10.0 * ledger.picard_residual * (1.0 + ledger.prev_total)
-    return InequalityCheck(ledger.slack >= -budget, ledger.slack, budget)
+def check_energy_inequality(ledger: EnergyLedger, budget: float) -> bool:
+    """True iff slack >= -budget; a run's budget is
+    10 * picard_tol * (1 + initial energy)."""
+    return ledger.slack >= -budget
 
 
 def director_length_stats(d: VectorField) -> LengthStats:
@@ -142,31 +126,6 @@ def h2_diagnostic(d_hat: np.ndarray, grid: GridSpec) -> float:
     """L2 norm of the spectral Laplacian of d, from its coefficients d_hat
     (H^2 seminorm surrogate)."""
     return float(np.sqrt(parseval_sum(laplace_symbol(grid) ** 2 * np.abs(d_hat) ** 2)))
-
-
-def transport_only_run(
-    d0: VectorField, w: VectorField, alpha: float, tau: float, steps: int
-) -> VectorField:
-    """Integrate d' = -T(d, w) with frozen w by classical RK4.
-
-    Test path for the alpha = 1/2 length-conservation mechanism; no
-    regularisation term enters, so it also covers the epsilon = 0 transport
-    dynamics that the implicit stepper refuses.
-    """
-    grid = d0.grid
-    w_b = padded_bundle(w.coeffs, grid)
-    d_hat = d0.coeffs
-
-    def rhs(dh):
-        return -director_transport_hat([(padded_bundle(dh, grid), w_b)], alpha, grid)
-
-    for _ in range(steps):
-        k1 = rhs(d_hat)
-        k2 = rhs(d_hat + 0.5 * tau * k1)
-        k3 = rhs(d_hat + 0.5 * tau * k2)
-        k4 = rhs(d_hat + tau * k3)
-        d_hat = d_hat + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return VectorField.from_coefficients(grid, d_hat)
 
 
 def spectral_divergence_max(u: VectorField) -> float:

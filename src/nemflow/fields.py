@@ -31,8 +31,10 @@ DEALIAS_MODES = ("none", "two_thirds", "exact")
 
 class NonFiniteError(ValueError):
     """NaN or Inf where finite numbers are required: in a field's samples or
-    coefficients, or in the nonlinear terms of an implicit-step iterate
-    (an overflow, which the stepper answers by halving the update or tau)."""
+    coefficients, or in the nonlinear terms of an implicit-step iterate.  The
+    stepper halves an update whose trial overflows and drops an overflowing
+    warm start; when the previous level itself overflows, it raises this at
+    once, since those terms do not depend on tau."""
 
 
 @dataclass(frozen=True)
@@ -61,10 +63,6 @@ class GridSpec:
     @property
     def shape(self) -> tuple[int, ...]:
         return (self.n,) * self.dim
-
-    @property
-    def npoints(self) -> int:
-        return self.n**self.dim
 
     def meshgrid(self) -> np.ndarray:
         """Coordinates of every sample, j/n along each axis, shape (dim, n, ..., n)."""
@@ -179,21 +177,6 @@ def ifftn_norm(coeffs: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of fftn_norm; returns real samples on the n-grid."""
     n = coeffs.shape[-2]
     return np.fft.irfftn(coeffs, s=(n,) * dim, axes=tuple(range(-dim, 0)), norm="forward")
-
-
-def l2_inner(f: VectorField, g: VectorField) -> float:
-    """Integral of f . g over the unit torus (mean of samples, volume 1).
-
-    Equals the spectral (Parseval) sum exactly, which is the true L2 pairing
-    for band-limited fields.
-    """
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-    return float(np.sum(f.values * g.values) / f.grid.npoints)
-
-
-def l2_norm(f: VectorField) -> float:
-    return float(np.sqrt(max(l2_inner(f, f), 0.0)))
 
 
 def parseval_sum(density: np.ndarray) -> float:

@@ -139,7 +139,7 @@ def run_simulation(cfg: RunConfig) -> RunReport:
                 div_u = max_mode_divergence(state.u.coeffs, grid)
                 h2 = h2_diagnostic(state.d.coeffs, grid)
                 trace.write(_csv_row(step, result.ledger, stats, div_u, h2) + "\n")
-                if not check_energy_inequality(result.ledger, budget).passed:
+                if not check_energy_inequality(result.ledger, budget):
                     checks_ok = False
                 if cfg.output.snapshot_every > 0 and step % cfg.output.snapshot_every == 0:
                     fields = {"d": state.d.values, "u": state.u.values}

@@ -50,8 +50,8 @@ from .operators import (
 
 
 class PicardDivergenceError(RuntimeError):
-    """No tau down to the floor converged and the last attempt did not overflow;
-    the message lists every attempt: tau, outcome, evals and residual."""
+    """No tau down to the floor converged and no attempt overflowed; the
+    message lists every attempt: tau, outcome, evals and residual."""
 
 
 @dataclass(frozen=True)
@@ -190,11 +190,11 @@ class _Workspace:
         bq = b[None, :, None] * q[:, None, :]              # (b x q)_{ij} = b_i q_j
         qb = np.swapaxes(bq, 1, 2)                         # (q x b)_{ij} = q_i b_j
         qq = q[:, :, None] * q[:, None, :]
-        bb = np.outer(b, b)
         bnorm2 = float(b @ b)
+        well = (bnorm2 * eye + 2.0 * np.outer(b, b)) / params.gamma  # f_plus' frozen at b
 
         # mu linearisation M, transport-in Q (so dT/dd = +QM), force-out C
-        msym = beta[:, None, None] * eye + ((bnorm2 * eye + 2.0 * bb) / params.gamma)[None]
+        msym = beta[:, None, None] * eye + well[None]
         quad = (a**2)[:, None, None] * eye - (a * c)[:, None, None] * (bq + qb) \
             + (c**2 * bnorm2) * qq
         cmat = a[:, None, None] * eye - c * bq
@@ -206,7 +206,7 @@ class _Workspace:
         cm = cmat @ msym
         g = np.zeros((q.shape[0], 2 * dim, 2 * dim), dtype=np.complex128)
         g[:, :dim, :dim] = (1.0 + params.epsilon * tau * beta)[:, None, None] * eye \
-            + params.epsilon * tau * ((bnorm2 * eye + 2.0 * bb) / params.gamma)[None] \
+            + params.epsilon * tau * well[None] \
             + tau * (quad @ msym)
         g[:, :dim, dim:] = 1j * tau * (-a[:, None, None] * eye + c * qb)
         g[:, dim:, :dim] = -1j * tau * (proj @ cm)
@@ -413,10 +413,12 @@ def implicit_step(
     guess is an optional warm start, a (d_hat, u_hat) pair of half-layout
     coefficients (e.g. an extrapolation from earlier levels); it is used for
     the first tau attempt only and never changes the converged solution, only
-    how fast the solver reaches it.  A failed attempt multiplies tau by
+    how fast the solver reaches it.  A stalled attempt multiplies tau by
     cfg.tau_shrink and retries from the previous level, down to the floor
-    min(cfg.tau_min or 1e-6 * tau, tau); below it, raises NonFiniteError if
-    the last attempt overflowed, else PicardDivergenceError, listing them all.
+    min(cfg.tau_min or 1e-6 * tau, tau), below which it raises
+    PicardDivergenceError.  An attempt that overflows has overflowed at the
+    previous level, whose nonlinear terms do not depend on tau, so it raises
+    NonFiniteError at once.  Either message lists every attempt.
     """
     cfg = cfg or PicardConfig()
     if params.epsilon <= 0:
@@ -426,11 +428,14 @@ def implicit_step(
 
     tau, attempts = params.tau, []
     while not attempts or attempts[-1].solution is None:
-        if tau < tau_min:
-            error = NonFiniteError if attempts[-1].outcome == "overflow" else PicardDivergenceError
+        overflow = bool(attempts) and attempts[-1].outcome == "overflow"
+        if overflow or tau < tau_min:
             tried = "; ".join(f"tau {a.tau} {a.outcome} after {a.evals} evals, "
                               f"residual {a.residual:.3e}" for a in attempts)
-            raise error(f"implicit step failed at every tau down to the floor {tau_min}: {tried}")
+            if overflow:
+                raise NonFiniteError(f"implicit step overflowed at the previous level: {tried}")
+            raise PicardDivergenceError(
+                f"implicit step failed at every tau down to the floor {tau_min}: {tried}")
         ws = _Workspace(grid, params, tau, prev.d.coeffs, prev.u.coeffs)
         attempts.append(_picard_attempt(ws, cfg, None if attempts else guess))
         tau *= cfg.tau_shrink

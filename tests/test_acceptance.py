@@ -13,13 +13,9 @@ import pytest
 
 from nemflow.config import parse_config
 from nemflow.coupling import director_transport
-from nemflow.diagnostics import (
-    director_length_stats,
-    spectral_divergence_max,
-    transport_only_run,
-)
+from nemflow.diagnostics import director_length_stats, spectral_divergence_max
 from nemflow.energetics import ModelParams, chemical_potential, total_energy
-from nemflow.fields import GridSpec, VectorField, l2_inner, l2_norm
+from nemflow.fields import GridSpec, VectorField
 from nemflow.initial import initial_condition
 from nemflow.runner import _extrapolated_guess, run_simulation
 from nemflow.snapshots import read_snapshot, write_snapshot
@@ -29,7 +25,14 @@ from nemflow.stepper import (
     implicit_step,
     residual_fully_implicit,
 )
-from util import band_limited, perturbed_director, solenoidal
+from util import (
+    band_limited,
+    l2_inner,
+    l2_norm,
+    perturbed_director,
+    solenoidal,
+    transport_only_run,
+)
 
 
 def _report(name: str, passed: bool) -> None:

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
-from nemflow.coupling import director_transport, extra_velocity
+from nemflow.coupling import director_transport, extra_velocity_hat
 from nemflow.energetics import ModelParams, chemical_potential
-from nemflow.fields import GridSpec, VectorField, l2_inner
-from util import band_limited, perturbed_director, solenoidal
+from nemflow.fields import GridSpec, VectorField
+from nemflow.operators import padded_bundle
+from util import band_limited, l2_inner, perturbed_director, solenoidal
+
+
+def extra_velocity(mu, d, alpha):
+    """The solver's coefficient-space extra velocity of one (mu, d) pair."""
+    grid = mu.grid
+    pair = (padded_bundle(mu.coeffs, grid), padded_bundle(d.coeffs, grid))
+    return VectorField.from_coefficients(grid, extra_velocity_hat([pair], alpha, grid))
 
 
 @pytest.fixture

@@ -10,10 +10,10 @@ from nemflow.energetics import (
     total_energy,
     well_integral_hat,
 )
-from nemflow.fields import GridSpec, VectorField, fftn_norm, l2_inner
+from nemflow.fields import GridSpec, VectorField, fftn_norm
 from nemflow.operators import gradient
 from nemflow.stepper import StepState
-from util import band_limited, perturbed_director, solenoidal
+from util import band_limited, l2_inner, perturbed_director, solenoidal
 
 
 def test_model_params_validation():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nemflow.diagnostics import director_length_stats, spectral_divergence_max
-from nemflow.fields import GridSpec, fftn_norm, l2_norm
+from nemflow.fields import GridSpec, fftn_norm, spectral_l2_norm
 from nemflow.initial import initial_condition
 from util import nyquist_mask
 
@@ -29,7 +29,7 @@ def test_velocity_is_solenoidal_and_zero_mean(kind):
     grid = GridSpec(2, 16, "exact")
     state = initial_condition(kind, grid, seed=11, amplitude=0.3)
     div = spectral_divergence_max(state.u)
-    assert div <= 1e-12 * (1.0 + l2_norm(state.u))
+    assert div <= 1e-12 * (1.0 + spectral_l2_norm(state.u.coeffs))
     assert abs(np.mean(state.u.values)) < 1e-14
 
 
@@ -66,7 +66,7 @@ def test_3d_initial_conditions():
     grid = GridSpec(3, 8, "exact")
     state = initial_condition("uniform_perturbed", grid, seed=2, amplitude=0.15)
     assert state.d.components == 3
-    assert spectral_divergence_max(state.u) <= 1e-12 * (1.0 + l2_norm(state.u))
+    assert spectral_divergence_max(state.u) <= 1e-12 * (1.0 + spectral_l2_norm(state.u.coeffs))
 
 
 def test_unknown_kind():

@@ -10,7 +10,6 @@ from nemflow.fields import (
     fftn_norm,
     ifftn_norm,
     integer_modes,
-    l2_inner,
     wavevectors,
 )
 from nemflow.operators import (
@@ -25,7 +24,7 @@ from nemflow.operators import (
     padded_size,
     to_padded,
 )
-from util import band_limited, nyquist_mask, solenoidal
+from util import band_limited, l2_inner, nyquist_mask, solenoidal
 
 
 @pytest.fixture

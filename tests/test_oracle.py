@@ -23,7 +23,7 @@ def test_leray_matrix_idempotent():
 def test_gradient_matrix_annihilates_constants():
     grid = GridSpec(2, 8, "exact")
     m = oracle.dense_operator_matrix(grid, "gradient_1")
-    assert np.max(np.abs(m @ np.ones(grid.npoints))) < 1e-13
+    assert np.max(np.abs(m @ np.ones(grid.n**grid.dim))) < 1e-13
 
 
 def test_resolution_guard():

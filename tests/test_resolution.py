@@ -32,7 +32,7 @@ def test_two_steps_keep_every_invariant(dim, n, mode):
         new = result.state
         where = f"step {step}: {result.ledger.picard_iters} evals, tau_used {result.tau_used}"
         assert result.tau_used == params.tau, where
-        assert check_energy_inequality(result.ledger, budget).passed, where
+        assert check_energy_inequality(result.ledger, budget), where
         u_hat = new.u.coeffs
         unorm = spectral_l2_norm(u_hat)
         assert max_mode_divergence(u_hat, grid) <= 1e-12 * (1.0 + unorm), where

@@ -10,7 +10,6 @@ import pytest
 from nemflow import runner, snapshots
 from nemflow.cli import main as cli_main
 from nemflow.config import parse_config
-from nemflow.diagnostics import InequalityCheck
 from nemflow.runner import CSV_HEADER, EXIT_ENERGY, run_simulation
 from nemflow.snapshots import (
     SnapshotFormatError,
@@ -292,10 +291,18 @@ def test_solver_failure_keeps_partial_outputs(tmp_path):
     assert lines[0] == CSV_HEADER  # partial outputs survive the failure
 
 
+def test_readme_trace_header_matches_program():
+    """The README's fixed trace header is the one the runner writes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Energy trace CSV", 1)[1]
+    block = section.split("```", 2)[1]
+    assert block.strip() == CSV_HEADER
+
+
 def test_energy_violation_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(
         runner, "check_energy_inequality",
-        lambda ledger, budget=None: InequalityCheck(False, -1.0, 0.0),
+        lambda ledger, budget: False,
     )
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(_config_text(tmp_path))
