@@ -27,13 +27,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass(frozen=True)
 class EnergyLedger:
-    """One row of the per-step energy balance."""
+    """One row of the per-step energy balance.
+
+    The fields are declared in the energy trace's column order: the runner
+    writes them as the columns time through picard_residual, and the
+    remaining columns (min_len through h2_d) come from this module's
+    director_length_stats, spectral_divergence_max and h2_diagnostic.
+    """
 
     time: float
+    e_total: float
     e_elastic: float
     e_well: float
     e_kinetic: float
-    e_total: float
     d_visc: float
     d_friction: float
     d_eps: float
@@ -90,10 +96,10 @@ def build_ledger(
 
     return EnergyLedger(
         time=cur.time,
+        e_total=energy.total,
         e_elastic=energy.elastic,
         e_well=energy.well,
         e_kinetic=energy.kinetic,
-        e_total=energy.total,
         d_visc=d_visc,
         d_friction=d_friction,
         d_eps=d_eps,

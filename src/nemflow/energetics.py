@@ -22,8 +22,7 @@ class ModelParams:
 
     rho: mass density; eta: viscosity; alpha: molecular shape parameter
     (0.5 = spherical, corotational transport); gamma: penalty strength;
-    epsilon: chemical-potential relaxation (must be > 0 for the implicit
-    stepper); tau: time increment.
+    epsilon: chemical-potential relaxation (> 0); tau: time increment.
     """
 
     rho: float = 1.0
@@ -42,8 +41,8 @@ class ModelParams:
             raise ValueError("alpha ∈ [0,1] violated")
         if not self.gamma > 0:
             raise ValueError("gamma > 0 required")
-        if self.epsilon < 0:
-            raise ValueError("epsilon ≥ 0 required")
+        if not self.epsilon > 0:
+            raise ValueError("epsilon > 0 required")
         if not self.tau > 0:
             raise ValueError("tau > 0 required")
 

@@ -7,17 +7,18 @@ the extra velocity when output.full_state is set).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig
-from .diagnostics import check_energy_inequality, director_length_stats, h2_diagnostic
+from .diagnostics import (check_energy_inequality, director_length_stats, h2_diagnostic,
+                          spectral_divergence_max)
 from .energetics import total_energy_hat
 from .fields import NonFiniteError
 from .initial import initial_condition
-from .operators import leray_hat, max_mode_divergence
+from .operators import leray_hat
 from .snapshots import write_snapshot
 from .stepper import PicardDivergenceError, StepState, implicit_step
 
@@ -52,27 +53,7 @@ def _fmt(x) -> str:
 
 
 def _csv_row(step: int, ledger, stats, div_u: float, h2: float) -> str:
-    cells = [
-        step,
-        ledger.time,
-        ledger.e_total,
-        ledger.e_elastic,
-        ledger.e_well,
-        ledger.e_kinetic,
-        ledger.d_visc,
-        ledger.d_friction,
-        ledger.d_eps,
-        ledger.j_grad,
-        ledger.j_d,
-        ledger.j_u,
-        ledger.slack,
-        ledger.picard_iters,
-        ledger.picard_residual,
-        stats.min,
-        stats.max,
-        div_u,
-        h2,
-    ]
+    cells = (step, *astuple(ledger), stats.min, stats.max, div_u, h2)
     return ",".join(_fmt(c) for c in cells)
 
 
@@ -136,7 +117,7 @@ def run_simulation(cfg: RunConfig) -> RunReport:
                 prev_state = state
                 state = result.state
                 stats = director_length_stats(state.d)
-                div_u = max_mode_divergence(state.u.coeffs, grid)
+                div_u = spectral_divergence_max(state.u)
                 h2 = h2_diagnostic(state.d.coeffs, grid)
                 trace.write(_csv_row(step, result.ledger, stats, div_u, h2) + "\n")
                 if not check_energy_inequality(result.ledger, budget):

@@ -323,6 +323,8 @@ def _gmres(matvec, b: np.ndarray, rel_tol: float, max_inner: int) -> np.ndarray:
             h[i, k] = dot(basis[i], w)
             w = w - h[i, k] * basis[i]
         h[k + 1, k] = np.sqrt(dot(w, w))
+        if not np.isfinite(h[k + 1, k]):
+            break  # the operator overflowed: keep the solution of the earlier columns
         hk, ek = h[: k + 2, : k + 1], e1[: k + 2]
         y, *_ = np.linalg.lstsq(hk, ek, rcond=None)
         lucky = h[k + 1, k] <= 1e-14 * norm_b
@@ -349,12 +351,11 @@ def _picard_attempt(ws: _Workspace, cfg: PicardConfig,
 
     def evaluate(x):
         # overflow in the iterate surfaces as NonFiniteError from ws.terms
-        with np.errstate(over="ignore", invalid="ignore"):
-            d_hat, u_hat = ws.split(x)
-            t = ws.terms(d_hat, u_hat)
-            r_d, r_u = ws.residual_fields(d_hat, u_hat, t)
-            rd = spectral_l2_norm(r_d) / (1.0 + spectral_l2_norm(d_hat))
-            ru = spectral_l2_norm(r_u) / (1.0 + spectral_l2_norm(u_hat))
+        d_hat, u_hat = ws.split(x)
+        t = ws.terms(d_hat, u_hat)
+        r_d, r_u = ws.residual_fields(d_hat, u_hat, t)
+        rd = spectral_l2_norm(r_d) / (1.0 + spectral_l2_norm(d_hat))
+        ru = spectral_l2_norm(r_u) / (1.0 + spectral_l2_norm(u_hat))
         return max(rd, ru), (d_hat, u_hat, t, r_d, r_u)
 
     for start in ([] if guess is None else [guess]) + [(ws.d_prev, ws.u_prev)]:
@@ -421,8 +422,6 @@ def implicit_step(
     NonFiniteError at once.  Either message lists every attempt.
     """
     cfg = cfg or PicardConfig()
-    if params.epsilon <= 0:
-        raise ValueError("epsilon > 0 required by the implicit stepper")
     grid = prev.grid
     tau_min = min(cfg.tau_min or 1e-6 * params.tau, params.tau)
 
@@ -437,7 +436,9 @@ def implicit_step(
             raise PicardDivergenceError(
                 f"implicit step failed at every tau down to the floor {tau_min}: {tried}")
         ws = _Workspace(grid, params, tau, prev.d.coeffs, prev.u.coeffs)
-        attempts.append(_picard_attempt(ws, cfg, None if attempts else guess))
+        # overflow ends the attempt by its outcome, never as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            attempts.append(_picard_attempt(ws, cfg, None if attempts else guess))
         tau *= cfg.tau_shrink
 
     done = attempts[-1]

@@ -132,3 +132,16 @@ def test_unbuildable_initial_condition_is_config_error(tmp_path, capsys, dim, ex
         assert "config ok" not in captured.out
     assert not trace.exists()
     parse_config(MINIMAL + "ic.seed = 0\nic.kind = defect_pair\n")  # the 2D boundary case is fine
+
+
+def test_epsilon_zero_is_config_error(tmp_path, capsys):
+    """The stepper needs epsilon > 0, so check and run both refuse 0 with exit 2."""
+    trace = tmp_path / "trace.csv"
+    cfg_path = tmp_path / "eps.cfg"
+    cfg_path.write_text(MINIMAL + f"epsilon = 0\noutput.trace_path = {trace}\n")
+    with pytest.raises(ConfigError, match="epsilon > 0"):
+        parse_config(cfg_path.read_text())
+    for command in ("check", "run"):
+        assert cli_main([command, str(cfg_path)]) == 2
+        assert "epsilon > 0" in capsys.readouterr().err
+    assert not trace.exists()

@@ -26,7 +26,8 @@ def test_model_params_validation():
         ModelParams(gamma=-1.0)
     with pytest.raises(ValueError, match="tau"):
         ModelParams(tau=0.0)
-    ModelParams(epsilon=0.0)  # allowed at the type level
+    with pytest.raises(ValueError, match="epsilon > 0"):
+        ModelParams(epsilon=0.0)
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from nemflow import runner, snapshots
 from nemflow.cli import main as cli_main
 from nemflow.config import parse_config
+from nemflow.diagnostics import EnergyLedger
 from nemflow.runner import CSV_HEADER, EXIT_ENERGY, run_simulation
 from nemflow.snapshots import (
     SnapshotFormatError,
@@ -297,6 +299,49 @@ def test_readme_trace_header_matches_program():
     section = readme.split("### Energy trace CSV", 1)[1]
     block = section.split("```", 2)[1]
     assert block.strip() == CSV_HEADER
+
+
+def test_trace_header_is_ledger_then_diagnostics():
+    """Columns 2-15 are EnergyLedger's fields in declaration order, and the
+    last four are the runner's diagnostics."""
+    columns = CSV_HEADER.split(",")
+    assert columns[0] == "step"
+    assert [c.lower() for c in columns[1:15]] == [f.name for f in dataclasses.fields(EnergyLedger)]
+    assert columns[15:] == ["min_len", "max_len", "div_u_max", "h2_d"]
+
+
+def test_runner_steps_through_module_level_implicit_step(tmp_path, monkeypatch):
+    """The benchmark times steps by replacing runner.implicit_step, so the run
+    loop must call that name once per trace row."""
+    calls, inner = [], runner.implicit_step
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "implicit_step", counting)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(_config_text(tmp_path, t_end=2e-3))
+    assert cli_main(["run", str(cfg_path)]) == 0
+    rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2
+    assert len(calls) == len(rows)
+
+
+@pytest.mark.parametrize("extra", ["gamma = 1e-100", "eta = 1e200", "epsilon = 1e200"])
+def test_overflowing_solve_is_solver_failure(tmp_path, capsys, extra):
+    """An overflow inside the Krylov solve ends the attempt with a named
+    outcome: exit 3, no traceback and no warning (pytest makes warnings
+    errors).  tau_min = tau allows one attempt."""
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        f"dim = 2\nn = 8\ntau = 1e-3\nt_end = 2e-3\npicard.tau_min = 1e-3\n{extra}\n"
+        f"output.trace_path = {tmp_path / 'trace.csv'}\n"
+    )
+    assert cli_main(["run", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"tau 0\.001 (line_search|pass_cap|overflow) after", err)
+    assert "Traceback" not in err
 
 
 def test_energy_violation_exit_code(tmp_path, monkeypatch, capsys):

@@ -114,11 +114,8 @@ def test_equilibrium_is_fixed_point():
 
 
 def test_epsilon_zero_rejected():
-    grid = GridSpec(2, 8, "exact")
-    state = _uniform_state(grid)
-    params = ModelParams(epsilon=0.0, tau=1e-3)
     with pytest.raises(ValueError, match="epsilon > 0"):
-        implicit_step(state, params)
+        ModelParams(epsilon=0.0, tau=1e-3)
 
 
 def test_kinetic_energy_decays_for_pure_flow():
