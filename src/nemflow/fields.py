@@ -31,10 +31,8 @@ DEALIAS_MODES = ("none", "two_thirds", "exact")
 
 class NonFiniteError(ValueError):
     """NaN or Inf where finite numbers are required: in a field's samples or
-    coefficients, or in the nonlinear terms of an implicit-step iterate.  The
-    stepper halves an update whose trial overflows and drops an overflowing
-    warm start; when the previous level itself overflows, it raises this at
-    once, since those terms do not depend on tau."""
+    coefficients, or in the residual norms of every start of an implicit-step
+    attempt (its "overflow" outcome), which ends the step at once."""
 
 
 @dataclass(frozen=True)
@@ -182,7 +180,9 @@ def ifftn_norm(coeffs: np.ndarray, dim: int) -> np.ndarray:
 def parseval_sum(density: np.ndarray) -> float:
     """Full-spectrum sum of a real per-mode density given on the half layout
     (a mode and its mirror carry the same density): every column counts
-    twice but column 0 and the Nyquist column, which count once."""
+    twice but column 0 and the Nyquist column, which count once.  A sum that
+    overflows can come back as nan (2 inf - inf), which max() passes over, so
+    the stepper tests each residual norm for finiteness."""
     return float(2.0 * np.sum(density) - np.sum(density[..., 0]) - np.sum(density[..., -1]))
 
 

@@ -143,9 +143,10 @@ class _Terms:
 class Attempt:
     """How one tau attempt ended: "converged", "line_search" (no trial along a
     pass's update lowered the residual), "pass_cap" (max_iter passes) or
-    "overflow" (every start overflowed).  evals counts residual evaluations of
-    finite iterates, the start's included; residual is the last one (inf on
-    overflow); solution is the converged (d_hat, u_hat, terms), else None."""
+    "overflow" (no start had a finite residual).  evals counts the
+    evaluations with a finite residual, the start's included; residual is the
+    last one (inf on overflow); solution is the converged (d_hat, u_hat,
+    terms), else None."""
 
     tau: float
     outcome: str
@@ -164,9 +165,8 @@ class _Workspace:
     balance, and the transport block coupling back.  One damped sweep is the
     preconditioned update x -> x - theta * G^{-1} F(x) with F the exact
     nonlinear residual, so converged iterates solve the unmodified scheme.
-    Overflow in an iterate's nonlinear terms raises NonFiniteError.  The
-    symbol at -k is the conjugate of that at k, so only the modes of the half
-    layout get a block.
+    The symbol at -k is the conjugate of that at k, so only the modes of the
+    half layout get a block.
     """
 
     def __init__(self, grid: GridSpec, params: ModelParams, tau: float,
@@ -213,11 +213,6 @@ class _Workspace:
         g[:, dim:, dim:] = (params.rho + params.eta * tau * beta)[:, None, None] * eye
         self.block_inv = np.linalg.inv(g)
 
-    def _finite(self, *arrays: np.ndarray) -> None:
-        for a in arrays:
-            if not np.all(np.isfinite(a)):
-                raise NonFiniteError("iterate overflowed")
-
     def terms(self, d_hat: np.ndarray, u_hat: np.ndarray) -> _Terms:
         p, grid = self.params, self.grid
         d_b = padded_bundle(d_hat, grid)
@@ -231,7 +226,6 @@ class _Workspace:
         w_b = (u_b[0] + v_b[0], u_b[1] + v_b[1])
         transport = director_transport_hat([(d_b, w_b)], p.alpha, grid)
         conv = convective_hat([u_b], grid)
-        self._finite(mu, v, transport, conv)
         return _Terms(mu, v, transport, conv, d_b, mu_b, w_b, u_b, d3_p)
 
     def jacobian_action(
@@ -345,31 +339,31 @@ def _picard_attempt(ws: _Workspace, cfg: PicardConfig,
     Inexact Newton: each outer pass solves the linearised system with a few
     matrix-free GMRES iterations, right-preconditioned by the frozen-symbol
     blocks, then backtracks along the update until the residual decreases.
-    The solved system is the unmodified implicit scheme.  The start is the
-    guess, or the previous level if there is none or it overflows.
+    The solved system is the unmodified implicit scheme.  evaluate judges
+    every iterate: inf unless both residual norms are finite.  The start is
+    the guess, or the previous level if there is none or it is inf; a trial
+    that is inf halves theta uncounted.
     """
 
     def evaluate(x):
-        # overflow in the iterate surfaces as NonFiniteError from ws.terms
         d_hat, u_hat = ws.split(x)
         t = ws.terms(d_hat, u_hat)
         r_d, r_u = ws.residual_fields(d_hat, u_hat, t)
         rd = spectral_l2_norm(r_d) / (1.0 + spectral_l2_norm(d_hat))
         ru = spectral_l2_norm(r_u) / (1.0 + spectral_l2_norm(u_hat))
-        return max(rd, ru), (d_hat, u_hat, t, r_d, r_u)
+        res = max(rd, ru) if np.isfinite(rd) and np.isfinite(ru) else np.inf
+        return res, (d_hat, u_hat, t, r_d, r_u)
 
     for start in ([] if guess is None else [guess]) + [(ws.d_prev, ws.u_prev)]:
         x = ws.join(*start)
-        try:
-            res, payload = evaluate(x)
+        res, payload = evaluate(x)
+        if res < np.inf:
             break
-        except NonFiniteError:
-            pass
     else:
         return Attempt(ws.tau, "overflow", 0, np.inf)
 
     evals, passes = 1, 0
-    while not res <= cfg.tol:  # a nan residual never counts as converged
+    while res > cfg.tol:
         if passes == cfg.max_iter:
             return Attempt(ws.tau, "pass_cap", evals, res)
         passes += 1
@@ -390,9 +384,8 @@ def _picard_attempt(ws: _Workspace, cfg: PicardConfig,
         for _ in range(8):
             trial = x - theta * step
             theta *= 0.5
-            try:
-                res_new, payload_new = evaluate(trial)
-            except NonFiniteError:
+            res_new, payload_new = evaluate(trial)
+            if res_new == np.inf:
                 continue
             evals += 1
             if res_new < res:
@@ -417,9 +410,11 @@ def implicit_step(
     how fast the solver reaches it.  A stalled attempt multiplies tau by
     cfg.tau_shrink and retries from the previous level, down to the floor
     min(cfg.tau_min or 1e-6 * tau, tau), below which it raises
-    PicardDivergenceError.  An attempt that overflows has overflowed at the
-    previous level, whose nonlinear terms do not depend on tau, so it raises
-    NonFiniteError at once.  Either message lists every attempt.
+    PicardDivergenceError.  An overflow attempt found no finite residual at
+    the previous level, where the residual is tau times terms that do not
+    depend on tau: a smaller tau makes its norm finite only if that norm lay
+    between about 1e154 and 1e154 * tau / floor, so it raises NonFiniteError
+    at once.  Either message lists every attempt.
     """
     cfg = cfg or PicardConfig()
     grid = prev.grid

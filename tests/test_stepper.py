@@ -221,8 +221,8 @@ def test_residuals_zero_at_equilibrium():
     state = _uniform_state(grid)
     params = ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3)
     mu = VectorField.zeros(grid, 2)
-    rd, rmu, ru = residual_fully_implicit(state, (state.d, state.u, mu), params)
-    assert max(rd, rmu, ru) < 1e-13
+    residuals = residual_fully_implicit(state, (state.d, state.u, mu), params)
+    assert all(r < 1e-13 for r in residuals), residuals
 
 
 def test_stepper_output_certified_independently():
@@ -235,8 +235,8 @@ def test_stepper_output_certified_independently():
     cfg = PicardConfig(tol=1e-11)
     result = implicit_step(prev, params, cfg)
     assert result.tau_used == params.tau
-    rd, rmu, ru = residual_fully_implicit(prev, (result.state.d, result.state.u, result.mu), params)
-    assert max(rd, rmu, ru) <= 2.0 * cfg.tol
+    residuals = residual_fully_implicit(prev, (result.state.d, result.state.u, result.mu), params)
+    assert all(r <= 2.0 * cfg.tol for r in residuals), residuals
 
 
 def test_corrupted_candidate_has_large_residual():
@@ -323,8 +323,40 @@ def test_overflow_is_named(monkeypatch):
         implicit_step(prev, params, PicardConfig(tau_min=params.tau))
     assert _attempts(err.value) == [(params.tau, "overflow", 0)]
 
-    # the overflowing start is the previous level, whose nonlinear terms do
-    # not depend on tau: even with the default floor, one attempt ends the step
+    # no start has a finite residual; at the previous level the residual is
+    # tau times terms that do not depend on tau, and here those terms are not
+    # finite, so even with the default floor one attempt ends the step
+    taus = _count_workspaces(monkeypatch)
+    with pytest.raises(NonFiniteError) as err:
+        implicit_step(prev, params)
+    assert taus == [params.tau]
+    assert _attempts(err.value) == [(params.tau, "overflow", 0)]
+
+
+def _sheared_level():
+    """A shear flow of a uniform director: the director residual at this level
+    is exactly 0 for alpha = 0, whatever the viscosity."""
+    grid = GridSpec(2, 8, "exact")
+    d = np.zeros((2, *grid.shape))
+    d[0] = 1.0
+    u = np.zeros((2, *grid.shape))
+    u[1] = 0.1 * np.sin(2 * np.pi * grid.meshgrid()[0])
+    return StepState(VectorField(grid, d), VectorField(grid, u))
+
+
+@pytest.mark.parametrize("level,params", [
+    # the momentum norm overflows while the director norm is 0: the step
+    # must not pass on the director norm alone
+    pytest.param(_sheared_level, ModelParams(alpha=0.0, eta=1e200, tau=1e-3), id="eta"),
+    # every nonlinear term is finite but the director norm overflows, far
+    # beyond what the default floor could bring back
+    pytest.param(lambda: initial_condition("uniform_perturbed", GridSpec(2, 8), 0, 0.1),
+                 ModelParams(epsilon=1e200, tau=1e-3), id="epsilon"),
+])
+def test_residual_norm_overflow_is_named(monkeypatch, level, params):
+    """Finite terms with a residual norm that is not finite: no start counts,
+    and one overflow attempt ends the step even at the default floor."""
+    prev = level()
     taus = _count_workspaces(monkeypatch)
     with pytest.raises(NonFiniteError) as err:
         implicit_step(prev, params)
