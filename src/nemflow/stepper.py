@@ -126,7 +126,8 @@ class StepResult:
 @dataclass
 class _Terms:
     """Nonlinear terms at one iterate (coefficient space), with the padded
-    bundles cached for exact Jacobian actions."""
+    bundles of d, mu and w = u + v and the samples of u for exact Jacobian
+    actions.  conv is div P(u (x) u), which "none" mode aliases (see coupling)."""
 
     mu: np.ndarray
     v: np.ndarray
@@ -135,7 +136,7 @@ class _Terms:
     d_b: tuple[np.ndarray, np.ndarray]
     mu_b: tuple[np.ndarray, np.ndarray]
     w_b: tuple[np.ndarray, np.ndarray]
-    u_b: tuple[np.ndarray, np.ndarray]
+    u_p: np.ndarray       # samples of u on the quadratic padded grid
     d3_p: np.ndarray      # samples of d on the cubic-degree padded grid
 
 
@@ -220,13 +221,12 @@ class _Workspace:
         fp = from_padded(np.sum(d3_p * d3_p, axis=0) * d3_p / p.gamma, grid)
         mu = band_limit_hat(self.lap * d_hat + fp - self.d_prev / p.gamma, grid)
         mu_b = padded_bundle(mu, grid)
-        u_b = padded_bundle(u_hat, grid)
         v = extra_velocity_hat([(mu_b, d_b)], p.alpha, grid)
-        v_b = padded_bundle(v, grid)
-        w_b = (u_b[0] + v_b[0], u_b[1] + v_b[1])
+        w_b = padded_bundle(u_hat + v, grid)
         transport = director_transport_hat([(d_b, w_b)], p.alpha, grid)
-        conv = convective_hat([u_b], grid)
-        return _Terms(mu, v, transport, conv, d_b, mu_b, w_b, u_b, d3_p)
+        u_p = to_padded(u_hat, grid, 2)
+        conv = convective_hat([(u_p, u_p)], grid)
+        return _Terms(mu, v, transport, conv, d_b, mu_b, w_b, u_p, d3_p)
 
     def jacobian_action(
         self, t: _Terms, delta_d: np.ndarray, delta_u: np.ndarray
@@ -245,13 +245,12 @@ class _Workspace:
             grid,
         )
         dmu = band_limit_hat(self.lap * delta_d + dfp, grid)
-        dmu_b = padded_bundle(dmu, grid)
-        du_b = padded_bundle(delta_u, grid)
-        dv = extra_velocity_hat([(dmu_b, t.d_b), (t.mu_b, dd_b)], p.alpha, grid)
-        dv_b = padded_bundle(dv, grid)
-        dw_b = (du_b[0] + dv_b[0], du_b[1] + dv_b[1])
+        dv = extra_velocity_hat([(padded_bundle(dmu, grid), t.d_b), (t.mu_b, dd_b)], p.alpha, grid)
+        dw_b = padded_bundle(delta_u + dv, grid)
         dtrans = director_transport_hat([(dd_b, t.w_b), (t.d_b, dw_b)], p.alpha, grid)
-        dconv = convective_hat([(du_b[0], t.u_b[1]), (t.u_b[0], du_b[1])], grid)
+        del dd_b, dd3_p, dw_b  # their last products are done
+        du_p = to_padded(delta_u, grid, 2)
+        dconv = convective_hat([(du_p, t.u_p), (t.u_p, du_p)], grid)
         return self._assemble(delta_d, delta_u, delta_u, dtrans, dmu, dconv, dv)
 
     def residual_fields(self, d_hat, u_hat, t: _Terms) -> tuple[np.ndarray, np.ndarray]:
@@ -352,7 +351,7 @@ def _picard_attempt(ws: _Workspace, cfg: PicardConfig,
         rd = spectral_l2_norm(r_d) / (1.0 + spectral_l2_norm(d_hat))
         ru = spectral_l2_norm(r_u) / (1.0 + spectral_l2_norm(u_hat))
         res = max(rd, ru) if np.isfinite(rd) and np.isfinite(ru) else np.inf
-        return res, (d_hat, u_hat, t, r_d, r_u)
+        return res, ((d_hat, u_hat, t, r_d, r_u) if res < np.inf else None)
 
     for start in ([] if guess is None else [guess]) + [(ws.d_prev, ws.u_prev)]:
         x = ws.join(*start)
@@ -367,7 +366,7 @@ def _picard_attempt(ws: _Workspace, cfg: PicardConfig,
         if passes == cfg.max_iter:
             return Attempt(ws.tau, "pass_cap", evals, res)
         passes += 1
-        _, _, t, r_d, r_u = payload
+        t, r_d, r_u = payload[2:]
 
         def matvec(y):
             return ws.join(*ws.jacobian_action(t, *ws.precondition_vec(y)))
@@ -379,18 +378,20 @@ def _picard_attempt(ws: _Workspace, cfg: PicardConfig,
         forcing = min(0.5, max(np.sqrt(res) * 0.3, 3.0 * cfg.tol / max(res, cfg.tol)))
         y = _gmres(matvec, ws.join(r_d, r_u), forcing, max_inner=24)
         step = ws.join(*ws.precondition_vec(y))
+        payload = t = None  # each trial builds its own: one set of padded terms is alive
 
         theta = 1.0
         for _ in range(8):
             trial = x - theta * step
             theta *= 0.5
-            res_new, payload_new = evaluate(trial)
+            res_new, payload = evaluate(trial)
             if res_new == np.inf:
                 continue
             evals += 1
             if res_new < res:
-                x, res, payload = trial, res_new, payload_new
+                x, res = trial, res_new
                 break
+            payload = None
         else:
             return Attempt(ws.tau, "line_search", evals, res)
     return Attempt(ws.tau, "converged", evals, res, payload[:3])
@@ -473,11 +474,11 @@ def residual_fully_implicit(
     res_d = d_hat - dp_hat + tau * transport + eps * tau * mu_hat
     r_d = spectral_l2_norm(res_d) / (1.0 + spectral_l2_norm(d_hat))
 
-    lap = laplace_symbol(grid)
-    conv = convective_hat([padded_bundle(u_hat, grid)], grid)
+    u_p = to_padded(u_hat, grid, 2)
+    conv = convective_hat([(u_p, u_p)], grid)
     res_u = leray_hat(
         params.rho * (u_hat - up_hat) + tau * params.rho * conv
-        + tau * params.eta * lap * u_hat - tau * v_hat,
+        + tau * params.eta * laplace_symbol(grid) * u_hat - tau * v_hat,
         grid,
     )
     r_u = spectral_l2_norm(res_u) / (1.0 + spectral_l2_norm(u_hat))

@@ -1,11 +1,13 @@
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 from nemflow.energetics import ModelParams, total_energy
-from nemflow import fields
-from nemflow.fields import GridSpec, VectorField, fftn_norm, ifftn_norm
+from nemflow import coupling, fields, operators, stepper
+from nemflow.coupling import convective_hat
+from nemflow.fields import GridSpec, VectorField, fftn_norm, ifftn_norm, parseval_sum
 from nemflow.stepper import (
     PicardConfig,
     PicardDivergenceError,
@@ -17,7 +19,7 @@ from nemflow.stepper import (
 from nemflow.diagnostics import spectral_divergence_max
 from nemflow.fields import NonFiniteError, spectral_l2_norm
 from nemflow.initial import initial_condition
-from nemflow.operators import leray_hat
+from nemflow.operators import from_padded, leray_hat, padded_bundle, to_padded
 from nemflow.runner import _extrapolated_guess
 from util import l2_norm, perturbed_director, solenoidal
 
@@ -367,10 +369,6 @@ def test_residual_norm_overflow_is_named(monkeypatch, level, params):
 def test_convective_energy_neutrality():
     """In exact mode the computed convection term cannot feed the kinetic
     energy: its pairing with u vanishes to round-off."""
-    from nemflow.coupling import convective_hat
-    from nemflow.fields import fftn_norm, parseval_sum, spectral_l2_norm
-    from nemflow.operators import padded_bundle
-
     grid = GridSpec(2, 16, "exact")
     state = StepState(
         perturbed_director(grid, seed=81, amplitude=0.2),
@@ -379,9 +377,131 @@ def test_convective_energy_neutrality():
     params = ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3)
     result = implicit_step(state, params, PicardConfig(tol=1e-11))
     u_hat = fftn_norm(result.state.u.values, grid.dim)
-    conv = convective_hat([padded_bundle(u_hat, grid)], grid)
+    u_p = to_padded(u_hat, grid, 2)
+    conv = convective_hat([(u_p, u_p)], grid)
     pairing = abs(parseval_sum((conv * np.conj(u_hat)).real))
     assert pairing <= 1e-11 * max(spectral_l2_norm(u_hat) ** 3, 1e-30)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+@pytest.mark.parametrize("mode", ["exact", "two_thirds", "none"])
+def test_convection_divergence_form_equals_advective_form(dim, n, mode):
+    """For a Leray-projected u, div P(u (x) u) equals the advective (u . grad) u
+    built from u's padded bundle to round-off wherever the quadratic product is
+    alias-free; in "none" mode the two differ by aliasing error."""
+    grid = GridSpec(dim, n, mode)
+    u_hat = solenoidal(grid, seed=83, scale=0.5).coeffs
+    u_p, gu_p = padded_bundle(u_hat, grid)
+    advective = from_padded(np.einsum("j...,ij...->i...", u_p, gu_p), grid)
+    divergence_form = convective_hat([(u_p, u_p)], grid)
+    gap = np.max(np.abs(divergence_form - advective)) / np.max(np.abs(advective))
+    if mode == "none":
+        assert gap > 1e-3
+    else:
+        assert gap <= 1e-13
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+@pytest.mark.parametrize("mode", ["exact", "two_thirds"])
+def test_jacobian_action_is_derivative_of_residual(dim, n, mode):
+    """jacobian_action along a retained direction matches the 4-point central
+    difference of residual_fields, whose truncation error is O(h^4)."""
+    grid = GridSpec(dim, n, mode)
+    prev = StepState(perturbed_director(grid, seed=84, amplitude=0.3),
+                     solenoidal(grid, seed=85, kcut=2, scale=0.3))
+    params = ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-2)
+    ws = _Workspace(grid, params, params.tau, prev.d.coeffs, prev.u.coeffs)
+    x = ws.join(perturbed_director(grid, seed=86, amplitude=0.4).coeffs,
+                solenoidal(grid, seed=87, kcut=3, scale=0.4).coeffs)
+    delta = ws.join(*ws.split(ws.join(perturbed_director(grid, seed=88, amplitude=0.5).coeffs,
+                                      solenoidal(grid, seed=89, scale=0.5).coeffs)))
+
+    def residual(y):
+        d_hat, u_hat = ws.split(y)
+        return ws.join(*ws.residual_fields(d_hat, u_hat, ws.terms(d_hat, u_hat)))
+
+    d_hat, u_hat = ws.split(x)
+    action = ws.join(*ws.jacobian_action(ws.terms(d_hat, u_hat), *ws.split(delta)))
+    h = 1e-3
+    central = (8.0 * (residual(x + h * delta) - residual(x - h * delta))
+               - (residual(x + 2 * h * delta) - residual(x - 2 * h * delta))) / (12.0 * h)
+    assert spectral_l2_norm(action - central) <= 1e-9 * spectral_l2_norm(action)
+
+
+def _padded_components(monkeypatch):
+    """Leading sizes of the arrays handed to to_padded, per degree, and to
+    from_padded, from every namespace that calls them."""
+    seen = {}
+    real_to, real_from = operators.to_padded, operators.from_padded
+
+    def count(key, array, grid):
+        seen[key] = seen.get(key, 0) + int(np.prod(array.shape[:-grid.dim]))
+
+    def counted_to(coeffs, grid, degree):
+        count(f"to{degree}", coeffs, grid)
+        return real_to(coeffs, grid, degree)
+
+    def counted_from(values, grid):
+        count("from", values, grid)
+        return real_from(values, grid)
+
+    for module in (operators, coupling, stepper):
+        for name, spy in (("to_padded", counted_to), ("from_padded", counted_from)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("dim,mode,counts", [
+    (2, "two_thirds", {"to2": 20, "from": 9}),
+    (3, "exact", {"to2": 39, "to3": 3, "from": 15}),
+])
+def test_padded_component_counts(monkeypatch, dim, mode, counts):
+    """Components transformed by one residual evaluation and, the same, by one
+    Jacobian action: w = u + v is padded as one bundle, and convection needs
+    u's padded samples only, not its padded gradient."""
+    grid = GridSpec(dim, 8, mode)
+    prev = StepState(perturbed_director(grid, seed=61, amplitude=0.2),
+                     solenoidal(grid, seed=62, kcut=2, scale=0.2))
+    params = ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3)
+    ws = _Workspace(grid, params, params.tau, prev.d.coeffs, prev.u.coeffs)
+    seen = _padded_components(monkeypatch)
+    t = ws.terms(prev.d.coeffs, prev.u.coeffs)
+    assert seen == counts
+    seen.clear()
+    ws.jacobian_action(t, prev.d.coeffs, prev.u.coeffs)
+    assert seen == counts
+
+
+def test_one_set_of_padded_terms_alive(monkeypatch):
+    """Whenever a residual evaluation builds its padded terms, no other set is
+    alive: the iterate's go once its Newton direction is built, a rejected
+    trial's once it is rejected, an overflowing start's at once.  _Terms
+    compares by value, so it is unhashable and is tracked by call number."""
+    alive, crowd, passes = weakref.WeakValueDictionary(), [], []
+    real_terms, real_gmres = _Workspace.terms, stepper._gmres
+
+    def spy(self, d_hat, u_hat):
+        crowd.append(len(alive))
+        t = alive[len(crowd)] = real_terms(self, d_hat, u_hat)
+        return t
+
+    def counted_gmres(*args, **kwargs):
+        passes.append(1)
+        return real_gmres(*args, **kwargs)
+
+    monkeypatch.setattr(_Workspace, "terms", spy)
+    monkeypatch.setattr(stepper, "_gmres", counted_gmres)
+    grid = GridSpec(2, 16, "two_thirds")
+    prev = StepState(perturbed_director(grid, seed=5, amplitude=0.2, kcut=5),
+                     solenoidal(grid, seed=6, kcut=5, scale=0.2))
+    params = ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3)
+    result = implicit_step(prev, params, PicardConfig(tol=1e-12),
+                           guess=(1e120 * prev.d.coeffs, prev.u.coeffs))
+    assert result.tau_used == params.tau
+    # the overflowing guess, the previous level, one trial per pass, and more
+    assert len(crowd) > 2 + len(passes) > 3
+    assert crowd == [0] * len(crowd)
 
 
 def test_krylov_directions_are_real_fields(monkeypatch):
