@@ -8,8 +8,9 @@ The solver therefore works on the exact nonlinear residual F of the scheme:
 
   * the elementary damped sweep is x -> x - theta * G^{-1} F(x), where G is
     the constant-coefficient linearisation of the stiff terms at the mean
-    director of the previous level, assembled mode by mode as a small
-    (2 dim)^2 block per wavenumber, so every solve stays Fourier-diagonal;
+    director of the previous level, assembled mode by mode and solved through
+    a real dim x dim Schur complement per wavenumber, after eliminating the
+    scalar momentum block, so every solve stays Fourier-diagonal;
   * implicit_step drives F to tolerance by inexact Newton passes: a few
     matrix-free GMRES iterations (preconditioned by those same blocks, with
     hand-coded exact Jacobian actions) followed by residual-monotone
@@ -156,6 +157,33 @@ class Attempt:
     solution: tuple[np.ndarray, np.ndarray, _Terms] | None = field(default=None, repr=False)
 
 
+def _mode_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x mode by mode, for a mode-last (dim, dim, modes) m and a mode-last
+    (dim, p, modes) x."""
+    out = m[:, 0, None] * x[None, 0]
+    for k in range(1, m.shape[1]):
+        out += m[:, k, None] * x[None, k]
+    return out
+
+
+def _mode_inverse(m: np.ndarray) -> np.ndarray:
+    """Inverse of each mode's matrix, mode-last: the adjugate over the
+    determinant.  In 3D the adjugate's 2 x 2 minors cancel when the matrix has
+    one stiff direction (relative error about eps cond^2), so one Newton-Schulz
+    step X + X (I - m X) brings the error back to about eps cond."""
+    if m.shape[0] == 2:
+        adj = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+        return adj / (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    # column j is row j+1 x row j+2, spelled out so that each entry stays
+    # contiguous over the modes (np.cross would make that axis strided)
+    u, v = m[[1, 2, 0]], m[[2, 0, 1]]
+    adj = np.array([u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1],
+                    u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2],
+                    u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]])
+    inv = adj / np.sum(m[0] * adj[:, 0], axis=0)
+    return inv + _mode_matmul(inv, np.eye(3)[:, :, None] - _mode_matmul(m, inv))
+
+
 class _Workspace:
     """Per-step-attempt solver context.
 
@@ -168,6 +196,12 @@ class _Workspace:
     nonlinear residual, so converged iterates solve the unmodified scheme.
     The symbol at -k is the conjugate of that at k, so only the modes of the
     half layout get a block.
+
+    Each block is G = [[A, iB], [-iC, s I]] with real A, B, C and the scalar
+    momentum symbol s = rho + eta tau |q|^2.  The workspace keeps a real
+    dim x dim Schur complement per wavenumber, after eliminating the scalar
+    momentum block: S^{-1} with S = A - B C / s, and B / s, C and s, all
+    mode-last, (dim, dim, modes).
     """
 
     def __init__(self, grid: GridSpec, params: ModelParams, tau: float,
@@ -185,34 +219,30 @@ class _Workspace:
         eye = np.eye(dim)
         beta = self.lap.reshape(-1)
         b = d_prev_hat[(slice(None),) + (0,) * dim].real  # mean director
-        q = 2.0 * np.pi * wavevectors(grid).reshape(dim, -1).T  # (modes, dim)
-        a = params.alpha * (q @ b)
+        q = 2.0 * np.pi * wavevectors(grid).reshape(dim, -1)  # (dim, modes)
+        a = params.alpha * (b @ q)
         c = 1.0 - params.alpha
-        bq = b[None, :, None] * q[:, None, :]              # (b x q)_{ij} = b_i q_j
-        qb = np.swapaxes(bq, 1, 2)                         # (q x b)_{ij} = q_i b_j
-        qq = q[:, :, None] * q[:, None, :]
+        bq = b[:, None, None] * q[None]                    # (b x q)_{ij} = b_i q_j
+        qb = bq.transpose(1, 0, 2)                         # (q x b)_{ij} = q_i b_j
+        qq = q[:, None] * q[None]
         bnorm2 = float(b @ b)
         well = (bnorm2 * eye + 2.0 * np.outer(b, b)) / params.gamma  # f_plus' frozen at b
+        eye, well = eye[:, :, None], well[:, :, None]
 
-        # mu linearisation M, transport-in Q (so dT/dd = +QM), force-out C
-        msym = beta[:, None, None] * eye + well[None]
-        quad = (a**2)[:, None, None] * eye - (a * c)[:, None, None] * (bq + qb) \
-            + (c**2 * bnorm2) * qq
-        cmat = a[:, None, None] * eye - c * bq
-        q2 = np.sum(q * q, axis=1)
-        q2safe = np.where(q2 == 0.0, 1.0, q2)
-        proj = eye[None] - qq / q2safe[:, None, None]
-        proj[q2 == 0.0] = eye
+        # mu linearisation M, transport-in Q (so dT/dd = +QM), force-out C, all
+        # (dim, dim, modes); beta = |q|^2, and the projection is I where q = 0
+        msym = beta * eye + well
+        quad = a**2 * eye - a * c * (bq + qb) + c**2 * bnorm2 * qq
+        cmat = a * eye - c * bq
+        proj = eye - qq / np.where(beta == 0.0, 1.0, beta)
 
-        cm = cmat @ msym
-        g = np.zeros((q.shape[0], 2 * dim, 2 * dim), dtype=np.complex128)
-        g[:, :dim, :dim] = (1.0 + params.epsilon * tau * beta)[:, None, None] * eye \
-            + params.epsilon * tau * well[None] \
-            + tau * (quad @ msym)
-        g[:, :dim, dim:] = 1j * tau * (-a[:, None, None] * eye + c * qb)
-        g[:, dim:, :dim] = -1j * tau * (proj @ cm)
-        g[:, dim:, dim:] = (params.rho + params.eta * tau * beta)[:, None, None] * eye
-        self.block_inv = np.linalg.inv(g)
+        # the blocks of G = [[A, iB], [-iC, s I]] and S = A - B C / s
+        a_blk = (1.0 + params.epsilon * tau * beta) * eye + params.epsilon * tau * well \
+            + tau * _mode_matmul(quad, msym)
+        self.s = params.rho + params.eta * tau * beta
+        self.bs_blk = tau * (c * qb - a * eye) / self.s  # B / s
+        self.c_blk = tau * _mode_matmul(proj, _mode_matmul(cmat, msym))
+        self.schur_inv = _mode_inverse(a_blk - _mode_matmul(self.bs_blk, self.c_blk))
 
     def terms(self, d_hat: np.ndarray, u_hat: np.ndarray) -> _Terms:
         p, grid = self.params, self.grid
@@ -269,10 +299,13 @@ class _Workspace:
         return r_d, r_u
 
     def precondition_vec(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """G^{-1} applied to an iterate vector of residual fields, then split
-        (projected back to the retained space)."""
-        raw = np.einsum("mij,jm->im", self.block_inv, y.reshape(y.shape[0], -1))
-        return self.split(raw.reshape(y.shape))
+        """G^{-1} applied to an iterate vector of residual fields by block
+        elimination, then split (projected back to the retained space)."""
+        dim = self.grid.dim
+        y_d, y_u = y.reshape(2, dim, 1, -1)
+        x_d = _mode_matmul(self.schur_inv, y_d - 1j * _mode_matmul(self.bs_blk, y_u))
+        x_u = (y_u + 1j * _mode_matmul(self.c_blk, x_d)) / self.s
+        return self.split(np.concatenate([x_d, x_u]).reshape(y.shape))
 
     def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Iterate vector -> (d_hat, u_hat) projected onto the retained
@@ -431,9 +464,10 @@ def implicit_step(
                 raise NonFiniteError(f"implicit step overflowed at the previous level: {tried}")
             raise PicardDivergenceError(
                 f"implicit step failed at every tau down to the floor {tau_min}: {tried}")
-        ws = _Workspace(grid, params, tau, prev.d.coeffs, prev.u.coeffs)
-        # overflow ends the attempt by its outcome, never as a warning
+        # overflow, in the blocks or the residual, ends the attempt by its
+        # outcome, never as a warning
         with np.errstate(over="ignore", invalid="ignore"):
+            ws = _Workspace(grid, params, tau, prev.d.coeffs, prev.u.coeffs)
             attempts.append(_picard_attempt(ws, cfg, None if attempts else guess))
         tau *= cfg.tau_shrink
 
