@@ -20,11 +20,15 @@ operator returns the Galerkin projection of the true quadratic product.
 They take padded bundles (operators.padded_bundle), or padded samples for
 convection, so callers pad each field once and share it; each truncates its
 summed argument pairs once, so a product's derivative costs one truncation.
+The pair sum is evaluated one block of rows of the first padded axis at a
+time, with the same operations per sample as on whole arrays, into one padded
+array that is then truncated: a product's temporaries are the size of a block,
+not of the padded grid.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -34,39 +38,71 @@ from .operators import from_padded, padded_bundle
 Bundle = tuple[np.ndarray, np.ndarray]  # (padded samples, padded gradient samples)
 Pair = tuple[Bundle, Bundle]
 
+# Padded samples per row block of a product, 32 KiB of float64 per component:
+# fewer make the per-block calls dominate, more bring back the page faults of
+# large temporaries without lowering the time per product
+_BLOCK_SIZE = 4096
 
-def extra_velocity_hat(pairs: Iterable[Pair], alpha: float, grid: GridSpec) -> np.ndarray:
+
+def _rows(x, r):
+    """The arrays of a nested tuple of padded arrays, restricted to rows r."""
+    return x[r] if isinstance(x, np.ndarray) else tuple(_rows(y, r) for y in x)
+
+
+def _from_row_blocks(block_sum, shape: tuple[int, ...], grid: GridSpec) -> np.ndarray:
+    """from_padded of the padded array of the given shape whose rows r along
+    the first padded axis are block_sum(r), filled one block at a time, so a
+    product's temporaries are the size of one block, not of the padded grid."""
+    m = shape[-1]
+    out = np.empty(shape)
+    step = max(1, _BLOCK_SIZE // m ** (grid.dim - 1))
+    for start in range(0, m, step):
+        r = (Ellipsis, slice(start, start + step)) + (slice(None),) * (grid.dim - 1)
+        out[r] = block_sum(r)
+    return from_padded(out, grid)
+
+
+def extra_velocity_hat(pairs: Sequence[Pair], alpha: float, grid: GridSpec) -> np.ndarray:
     """Coefficient-space extra velocity, summed over (mu, d) bundle pairs."""
-    terms = []
-    for (mu_p, gmu_p), (d_p, gd_p) in pairs:  # gmu_p[c, j] = d mu_c / dx_j
-        div_mu = np.einsum("jj...->...", gmu_p)
-        div_d = np.einsum("jj...->...", gd_p)
-        # (mu . grad d)_i = sum_j mu_j d(d_j)/dx_i
-        term = np.einsum("j...,ji...->i...", mu_p, gd_p)
-        # div{mu (x) d}_i = (d . grad) mu_i + mu_i div d
-        term += alpha * (np.einsum("j...,ij...->i...", d_p, gmu_p) + mu_p * div_d)
-        # div{d (x) mu}_i = (mu . grad) d_i + d_i div mu
-        term -= (1.0 - alpha) * (np.einsum("j...,ij...->i...", mu_p, gd_p) + d_p * div_mu)
-        terms.append(term)
-    return from_padded(sum(terms[1:], terms[0]), grid)
+
+    def block_sum(r):
+        terms = []
+        for (mu_p, gmu_p), (d_p, gd_p) in _rows(pairs, r):  # gmu_p[c, j] = d mu_c / dx_j
+            div_mu = np.einsum("jj...->...", gmu_p)
+            div_d = np.einsum("jj...->...", gd_p)
+            # (mu . grad d)_i = sum_j mu_j d(d_j)/dx_i
+            term = np.einsum("j...,ji...->i...", mu_p, gd_p)
+            # div{mu (x) d}_i = (d . grad) mu_i + mu_i div d
+            term += alpha * (np.einsum("j...,ij...->i...", d_p, gmu_p) + mu_p * div_d)
+            # div{d (x) mu}_i = (mu . grad) d_i + d_i div mu
+            term -= (1.0 - alpha) * (np.einsum("j...,ij...->i...", mu_p, gd_p) + d_p * div_mu)
+            terms.append(term)
+        return sum(terms[1:], terms[0])
+
+    return _from_row_blocks(block_sum, pairs[0][0][0].shape, grid)
 
 
-def director_transport_hat(pairs: Iterable[Pair], alpha: float, grid: GridSpec) -> np.ndarray:
+def director_transport_hat(pairs: Sequence[Pair], alpha: float, grid: GridSpec) -> np.ndarray:
     """Coefficient-space transport operator T(d, w), summed over (d, w) pairs."""
-    terms = []
-    for (d_p, gd_p), (w_p, gw_p) in pairs:
-        t = np.einsum("j...,ij...->i...", w_p, gd_p)
-        t -= alpha * np.einsum("ij...,j...->i...", gw_p, d_p)
-        t += (1.0 - alpha) * np.einsum("ji...,j...->i...", gw_p, d_p)
-        terms.append(t)
-    return from_padded(sum(terms[1:], terms[0]), grid)
+
+    def block_sum(r):
+        terms = []
+        for (d_p, gd_p), (w_p, gw_p) in _rows(pairs, r):
+            t = np.einsum("j...,ij...->i...", w_p, gd_p)
+            t -= alpha * np.einsum("ij...,j...->i...", gw_p, d_p)
+            t += (1.0 - alpha) * np.einsum("ji...,j...->i...", gw_p, d_p)
+            terms.append(t)
+        return sum(terms[1:], terms[0])
+
+    return _from_row_blocks(block_sum, pairs[0][0][0].shape, grid)
 
 
-def convective_hat(pairs: Iterable[tuple[np.ndarray, np.ndarray]], grid: GridSpec) -> np.ndarray:
+def convective_hat(pairs: Sequence[tuple[np.ndarray, np.ndarray]], grid: GridSpec) -> np.ndarray:
     """Coefficient-space div P(sum of a (x) b) over padded sample pairs whose sum is
     symmetric, [(u, u)] or [(du, u), (u, du)]: P truncates the upper triangle."""
     rows, cols = np.triu_indices(grid.dim)
-    sym_hat = from_padded(sum(a[rows] * b[cols] for a, b in pairs), grid)
+    sym_hat = _from_row_blocks(lambda r: sum(a[rows] * b[cols] for a, b in _rows(pairs, r)),
+                               (rows.size,) + pairs[0][0].shape[1:], grid)
     slot = np.empty((grid.dim, grid.dim), dtype=int)
     slot[rows, cols] = slot[cols, rows] = np.arange(rows.size)
     return np.sum(2.0j * np.pi * wavevectors(grid) * sym_hat[slot], axis=1)

@@ -103,6 +103,8 @@ def run_simulation(cfg: RunConfig) -> RunReport:
             trace.write(CSV_HEADER + "\n")
             while state.time < cfg.t_end - 1e-9 * cfg.params.tau:
                 guess = _extrapolated_guess(state, prev_state)
+                # the step needs only the level it starts from and the guess
+                prev_state = result = fields = None
                 params = cfg.params
                 remaining = cfg.t_end - state.time
                 if remaining < params.tau - 1e-9 * params.tau:

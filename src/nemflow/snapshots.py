@@ -55,9 +55,11 @@ def write_snapshot(path: str | Path, shape: tuple[int, ...],
     for name, values in fields.items():
         if values.shape[1:] != shape:
             raise ValueError(f"field {name!r} shape {values.shape} does not match {shape}")
-        chunks.append(np.ascontiguousarray(values, dtype="<f8").tobytes(order="C"))
+        chunks.append(np.ascontiguousarray(values, dtype="<f8"))
     tmp = Path(f"{path}.tmp")
-    tmp.write_bytes(b"".join(chunks))
+    with open(tmp, "wb") as out:
+        for chunk in chunks:  # an array is written from its own buffer, row-major
+            out.write(chunk)
     os.replace(tmp, path)
 
 

@@ -399,7 +399,8 @@ def _picard_attempt(ws: _Workspace, cfg: PicardConfig,
         if passes == cfg.max_iter:
             return Attempt(ws.tau, "pass_cap", evals, res)
         passes += 1
-        t, r_d, r_u = payload[2:]
+        t, rhs = payload[2], ws.join(*payload[3:])
+        payload = step = None  # r_d, r_u live on in rhs only; the last update is spent
 
         def matvec(y):
             return ws.join(*ws.jacobian_action(t, *ws.precondition_vec(y)))
@@ -409,9 +410,8 @@ def _picard_attempt(ws: _Workspace, cfg: PicardConfig,
         # so the passes converge superlinearly, and at least 3 tol / res so
         # GMRES never aims below about 3 tol, which the outer test cannot use.
         forcing = min(0.5, max(np.sqrt(res) * 0.3, 3.0 * cfg.tol / max(res, cfg.tol)))
-        y = _gmres(matvec, ws.join(r_d, r_u), forcing, max_inner=24)
-        step = ws.join(*ws.precondition_vec(y))
-        payload = t = None  # each trial builds its own: one set of padded terms is alive
+        step = ws.join(*ws.precondition_vec(_gmres(matvec, rhs, forcing, max_inner=24)))
+        t = None  # each trial builds its own: one set of padded terms is alive
 
         theta = 1.0
         for _ in range(8):

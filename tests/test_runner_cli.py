@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from nemflow.snapshots import (
     read_snapshot,
     write_snapshot,
 )
+from util import refcounting_only
 
 
 def _config_text(tmp_path, **overrides):
@@ -222,6 +224,31 @@ def test_outputs_are_durable_while_running(tmp_path, monkeypatch):
     assert on_disk == [final[:1], final[:2], final[:3]]  # step 3 sees header + rows 1-2
     names = sorted(p.name for p in (tmp_path / "snaps").iterdir())
     assert names == ["snap_000001.nemf", "snap_000002.nemf", "snap_000003.nemf"]
+
+
+def test_step_holds_no_earlier_level_or_result(tmp_path, monkeypatch):
+    """While the runner's implicit_step runs, the previous step's result, its
+    mu and v_extra and the snapshot samples of both, and every level before
+    the one being stepped from, are gone."""
+    cfg = parse_config(_config_text(tmp_path, t_end=4e-3, **{
+        "output.snapshot_every": 1, "output.full_state": "true"}))
+    real_step = runner.implicit_step
+    stale, alive = [], []  # weakrefs of what a later step must not find
+
+    def spy(prev, *args, **kwargs):
+        alive.append([ref() is not None for ref in stale])
+        stale.append(weakref.ref(prev))
+        result = real_step(prev, *args, **kwargs)
+        stale.extend(weakref.ref(obj) for obj in (
+            result, result.mu, result.v_extra, result.mu.values, result.v_extra.values))
+        return result
+
+    monkeypatch.setattr(runner, "implicit_step", spy)
+    with refcounting_only():
+        report = run_simulation(cfg)
+    assert report.status == 0 and report.steps == 4
+    assert [len(a) for a in alive] == [0, 6, 12, 18]
+    assert not any(any(a) for a in alive), alive
 
 
 def test_snapshot_is_moved_into_place(tmp_path, monkeypatch):

@@ -21,7 +21,7 @@ from nemflow.fields import NonFiniteError, spectral_l2_norm
 from nemflow.initial import initial_condition
 from nemflow.operators import from_padded, leray_hat, padded_bundle, to_padded
 from nemflow.runner import _extrapolated_guess
-from util import l2_norm, perturbed_director, solenoidal
+from util import l2_norm, perturbed_director, refcounting_only, solenoidal
 
 
 def _attempts(exc):
@@ -558,6 +558,43 @@ def test_one_set_of_padded_terms_alive(monkeypatch):
     # the overflowing guess, the previous level, one trial per pass, and more
     assert len(crowd) > 2 + len(passes) > 3
     assert crowd == [0] * len(crowd)
+
+
+def test_newton_pass_releases_dead_arrays(monkeypatch):
+    """At each Krylov solve the solution the previous solve returned is gone,
+    and during each Jacobian action no residual field pair is alive: the
+    right-hand side holds their values."""
+    solutions, fields = [], []  # weakrefs
+    at_solve, at_action = [], []
+    real_gmres, real_fields, real_action = (
+        stepper._gmres, _Workspace.residual_fields, _Workspace.jacobian_action)
+
+    def spy_gmres(*args, **kwargs):
+        at_solve.append(solutions[-1]() is not None if solutions else False)
+        y = real_gmres(*args, **kwargs)
+        solutions.append(weakref.ref(y))
+        return y
+
+    def spy_fields(self, *args):
+        r_d, r_u = real_fields(self, *args)
+        fields.extend((weakref.ref(r_d), weakref.ref(r_u)))
+        return r_d, r_u
+
+    def spy_action(self, *args):
+        at_action.append(sum(ref() is not None for ref in fields))
+        return real_action(self, *args)
+
+    monkeypatch.setattr(stepper, "_gmres", spy_gmres)
+    monkeypatch.setattr(_Workspace, "residual_fields", spy_fields)
+    monkeypatch.setattr(_Workspace, "jacobian_action", spy_action)
+    with refcounting_only():
+        result = implicit_step(_warm_start_level(),
+                               ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3),
+                               PicardConfig(tol=1e-12))
+    assert result.ledger.picard_iters == 8
+    assert len(at_solve) > 2 and len(at_action) > len(at_solve)
+    assert not any(at_solve), at_solve
+    assert not any(at_action), at_action
 
 
 def test_krylov_directions_are_real_fields(monkeypatch):

@@ -1,8 +1,12 @@
 """Shared helpers for the test suite: deterministic band-limited fields, an
 L2 quadrature from samples that is independent of the solver's Parseval sums,
-and an explicit RK4 integrator for pure director transport."""
+an explicit RK4 integrator for pure director transport, and a context in
+which only reference counts free objects."""
 
 from __future__ import annotations
+
+import gc
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -85,3 +89,17 @@ def transport_only_run(
         k4 = rhs(d_hat + tau * k3)
         d_hat = d_hat + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return VectorField.from_coefficients(grid, d_hat)
+
+
+@contextmanager
+def refcounting_only():
+    """Run the body with the cycle collector off, so an object is freed only
+    when its last reference goes: a weakref that stays alive shows a
+    reference still held, or a cycle that would delay the release."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
