@@ -18,12 +18,15 @@ solenoidal band-limited u up to aliasing error: none in "two_thirds" and
 Products are evaluated on the padded grid and truncated back, so each
 operator returns the Galerkin projection of the true quadratic product.
 They take padded bundles (operators.padded_bundle), or padded samples for
-convection, so callers pad each field once and share it; each truncates its
-summed argument pairs once, so a product's derivative costs one truncation.
-The pair sum is evaluated one block of rows of the first padded axis at a
-time, with the same operations per sample as on whole arrays, into one padded
-array that is then truncated: a product's temporaries are the size of a block,
-not of the padded grid.
+convection, so callers pad each field once and share it.  A product's
+derivative is a sum of two products with one argument replaced each; it costs
+one truncation: the *_padded form of one pair gives padded samples, and the
+*_hat form of the other pair adds itself into them (the padded addend) and
+truncates the sum once.  So a caller can release the bundles of the first pair
+before it pads those of the second.  Each product is evaluated one block of
+rows of the first padded axis at a time, with the same operations per sample
+as on whole arrays, into one padded array: a product's temporaries are the
+size of a block, not of the padded grid.
 """
 
 from __future__ import annotations
@@ -49,60 +52,83 @@ def _rows(x, r):
     return x[r] if isinstance(x, np.ndarray) else tuple(_rows(y, r) for y in x)
 
 
-def _from_row_blocks(block_sum, shape: tuple[int, ...], grid: GridSpec) -> np.ndarray:
-    """from_padded of the padded array of the given shape whose rows r along
-    the first padded axis are block_sum(r), filled one block at a time, so a
-    product's temporaries are the size of one block, not of the padded grid."""
+def _row_blocks(block, shape: tuple[int, ...], grid: GridSpec,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """The padded array of the given shape whose rows r along the first padded
+    axis are block(r), filled one block at a time, so a product's temporaries
+    are the size of one block, not of the padded grid.  Given out, the blocks
+    are added into it in place and out is returned."""
     m = shape[-1]
-    out = np.empty(shape)
+    add = out is not None
+    if not add:
+        out = np.empty(shape)
     step = max(1, _BLOCK_SIZE // m ** (grid.dim - 1))
     for start in range(0, m, step):
         r = (Ellipsis, slice(start, start + step)) + (slice(None),) * (grid.dim - 1)
-        out[r] = block_sum(r)
-    return from_padded(out, grid)
+        if add:
+            out[r] += block(r)
+        else:
+            out[r] = block(r)
+    return out
 
 
-def extra_velocity_hat(pairs: Sequence[Pair], alpha: float, grid: GridSpec) -> np.ndarray:
-    """Coefficient-space extra velocity, summed over (mu, d) bundle pairs."""
+def extra_velocity_padded(pair: Pair, alpha: float, grid: GridSpec,
+                          out: np.ndarray | None = None) -> np.ndarray:
+    """Padded samples of the extra velocity of one (mu, d) bundle pair, added
+    into out in place if given."""
 
-    def block_sum(r):
-        terms = []
-        for (mu_p, gmu_p), (d_p, gd_p) in _rows(pairs, r):  # gmu_p[c, j] = d mu_c / dx_j
-            div_mu = np.einsum("jj...->...", gmu_p)
-            div_d = np.einsum("jj...->...", gd_p)
-            # (mu . grad d)_i = sum_j mu_j d(d_j)/dx_i
-            term = np.einsum("j...,ji...->i...", mu_p, gd_p)
-            # div{mu (x) d}_i = (d . grad) mu_i + mu_i div d
-            term += alpha * (np.einsum("j...,ij...->i...", d_p, gmu_p) + mu_p * div_d)
-            # div{d (x) mu}_i = (mu . grad) d_i + d_i div mu
-            term -= (1.0 - alpha) * (np.einsum("j...,ij...->i...", mu_p, gd_p) + d_p * div_mu)
-            terms.append(term)
-        return sum(terms[1:], terms[0])
+    def block(r):
+        (mu_p, gmu_p), (d_p, gd_p) = _rows(pair, r)  # gmu_p[c, j] = d mu_c / dx_j
+        div_mu = np.einsum("jj...->...", gmu_p)
+        div_d = np.einsum("jj...->...", gd_p)
+        # (mu . grad d)_i = sum_j mu_j d(d_j)/dx_i
+        term = np.einsum("j...,ji...->i...", mu_p, gd_p)
+        # div{mu (x) d}_i = (d . grad) mu_i + mu_i div d
+        term += alpha * (np.einsum("j...,ij...->i...", d_p, gmu_p) + mu_p * div_d)
+        # div{d (x) mu}_i = (mu . grad) d_i + d_i div mu
+        term -= (1.0 - alpha) * (np.einsum("j...,ij...->i...", mu_p, gd_p) + d_p * div_mu)
+        return term
 
-    return _from_row_blocks(block_sum, pairs[0][0][0].shape, grid)
+    return _row_blocks(block, pair[0][0].shape, grid, out)
 
 
-def director_transport_hat(pairs: Sequence[Pair], alpha: float, grid: GridSpec) -> np.ndarray:
-    """Coefficient-space transport operator T(d, w), summed over (d, w) pairs."""
+def extra_velocity_hat(pair: Pair, alpha: float, grid: GridSpec,
+                       addend: np.ndarray | None = None) -> np.ndarray:
+    """Coefficient-space extra velocity of one (mu, d) bundle pair, plus the
+    padded samples addend if given, truncated once; addend is consumed (the
+    sum is formed in it)."""
+    return from_padded(extra_velocity_padded(pair, alpha, grid, addend), grid)
 
-    def block_sum(r):
-        terms = []
-        for (d_p, gd_p), (w_p, gw_p) in _rows(pairs, r):
-            t = np.einsum("j...,ij...->i...", w_p, gd_p)
-            t -= alpha * np.einsum("ij...,j...->i...", gw_p, d_p)
-            t += (1.0 - alpha) * np.einsum("ji...,j...->i...", gw_p, d_p)
-            terms.append(t)
-        return sum(terms[1:], terms[0])
 
-    return _from_row_blocks(block_sum, pairs[0][0][0].shape, grid)
+def director_transport_padded(pair: Pair, alpha: float, grid: GridSpec,
+                              out: np.ndarray | None = None) -> np.ndarray:
+    """Padded samples of T(d, w) for one (d, w) bundle pair, added into out in
+    place if given."""
+
+    def block(r):
+        (d_p, gd_p), (w_p, gw_p) = _rows(pair, r)
+        t = np.einsum("j...,ij...->i...", w_p, gd_p)
+        t -= alpha * np.einsum("ij...,j...->i...", gw_p, d_p)
+        t += (1.0 - alpha) * np.einsum("ji...,j...->i...", gw_p, d_p)
+        return t
+
+    return _row_blocks(block, pair[0][0].shape, grid, out)
+
+
+def director_transport_hat(pair: Pair, alpha: float, grid: GridSpec,
+                           addend: np.ndarray | None = None) -> np.ndarray:
+    """Coefficient-space transport operator T(d, w) of one (d, w) bundle pair,
+    plus the padded samples addend if given, truncated once; addend is
+    consumed."""
+    return from_padded(director_transport_padded(pair, alpha, grid, addend), grid)
 
 
 def convective_hat(pairs: Sequence[tuple[np.ndarray, np.ndarray]], grid: GridSpec) -> np.ndarray:
     """Coefficient-space div P(sum of a (x) b) over padded sample pairs whose sum is
     symmetric, [(u, u)] or [(du, u), (u, du)]: P truncates the upper triangle."""
     rows, cols = np.triu_indices(grid.dim)
-    sym_hat = _from_row_blocks(lambda r: sum(a[rows] * b[cols] for a, b in _rows(pairs, r)),
-                               (rows.size,) + pairs[0][0].shape[1:], grid)
+    sym_hat = from_padded(_row_blocks(lambda r: sum(a[rows] * b[cols] for a, b in _rows(pairs, r)),
+                                      (rows.size,) + pairs[0][0].shape[1:], grid), grid)
     slot = np.empty((grid.dim, grid.dim), dtype=int)
     slot[rows, cols] = slot[cols, rows] = np.arange(rows.size)
     return np.sum(2.0j * np.pi * wavevectors(grid) * sym_hat[slot], axis=1)
@@ -116,5 +142,5 @@ def director_transport(d: VectorField, w: VectorField, alpha: float) -> VectorFi
     if d.components != grid.dim or w.components != grid.dim:
         raise ValueError("expected dim-component fields")
     pair = (padded_bundle(d.coeffs, grid), padded_bundle(w.coeffs, grid))
-    return VectorField.from_coefficients(grid, director_transport_hat([pair], alpha, grid))
+    return VectorField.from_coefficients(grid, director_transport_hat(pair, alpha, grid))
 

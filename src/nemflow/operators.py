@@ -116,8 +116,10 @@ def padded_size(grid: GridSpec, degree: int) -> int:
     return -(-bound // (n // 2)) * (n // 2)
 
 
-def to_padded(coeffs: np.ndarray, grid: GridSpec, degree: int) -> np.ndarray:
-    """Real samples of the interpolant on the grid padded for the degree.
+def to_padded(coeffs: np.ndarray, grid: GridSpec, degree: int,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Real samples of the interpolant on the grid padded for the degree,
+    written into out if given (any strides).
 
     The staging half spectrum holds the n//2 + 1 columns of the half layout;
     in 3D the axis -3 transform runs only on the rows of axis -2 that
@@ -149,7 +151,7 @@ def to_padded(coeffs: np.ndarray, grid: GridSpec, degree: int) -> np.ndarray:
             block = half[..., r, :]
             np.fft.ifft(block, axis=-3, norm="forward", out=block)
     np.fft.ifft(half, axis=-2, norm="forward", out=half)
-    return np.fft.irfft(half, m, axis=-1, norm="forward")
+    return np.fft.irfft(half, m, axis=-1, norm="forward", out=out)
 
 
 def project_real(coeffs: np.ndarray, dim: int) -> np.ndarray:
@@ -200,8 +202,19 @@ def from_padded(values_padded: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def padded_gradient(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Real samples of every partial derivative on the quadratic padded grid;
-    the derivative axis follows the leading axes."""
-    return to_padded(grad_hat(coeffs, grid), grid, 2)
+    the derivative axis follows the leading axes.
+
+    Each direction is differentiated and padded straight into its slot of the
+    output, so neither the whole coefficient gradient (grad_hat) nor its
+    staging spectrum is ever alive; the samples equal, bit for bit, those of
+    to_padded(grad_hat(coeffs, grid), grid, 2).
+    """
+    ik = _TWO_PI_I * wavevectors(grid)
+    lead = coeffs.shape[:-grid.dim]
+    out = np.empty(lead + (grid.dim,) + (padded_size(grid, 2),) * grid.dim)
+    for j in range(grid.dim):
+        to_padded(ik[j] * coeffs, grid, 2, out=out[(Ellipsis, j) + (slice(None),) * grid.dim])
+    return out
 
 
 def padded_bundle(coeffs: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:

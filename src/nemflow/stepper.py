@@ -26,7 +26,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coupling import convective_hat, director_transport_hat, extra_velocity_hat
+from .coupling import (
+    convective_hat,
+    director_transport_hat,
+    director_transport_padded,
+    extra_velocity_hat,
+    extra_velocity_padded,
+)
 from .diagnostics import EnergyLedger, build_ledger
 from .energetics import ModelParams, chemical_potential_hat
 from .fields import (
@@ -128,12 +134,14 @@ class StepResult:
 class _Terms:
     """Nonlinear terms at one iterate (coefficient space), with the padded
     bundles of d, mu and w = u + v and the samples of u for exact Jacobian
-    actions.  conv is div P(u (x) u), which "none" mode aliases (see coupling)."""
+    actions.  conv is div P(u (x) u), which "none" mode aliases (see coupling).
+    transport and conv enter the residual only, so residual_fields releases
+    them: they are None during the Jacobian actions."""
 
     mu: np.ndarray
     v: np.ndarray
-    transport: np.ndarray
-    conv: np.ndarray
+    transport: np.ndarray | None
+    conv: np.ndarray | None
     d_b: tuple[np.ndarray, np.ndarray]
     mu_b: tuple[np.ndarray, np.ndarray]
     w_b: tuple[np.ndarray, np.ndarray]
@@ -251,9 +259,9 @@ class _Workspace:
         fp = from_padded(np.sum(d3_p * d3_p, axis=0) * d3_p / p.gamma, grid)
         mu = band_limit_hat(self.lap * d_hat + fp - self.d_prev / p.gamma, grid)
         mu_b = padded_bundle(mu, grid)
-        v = extra_velocity_hat([(mu_b, d_b)], p.alpha, grid)
+        v = extra_velocity_hat((mu_b, d_b), p.alpha, grid)
         w_b = padded_bundle(u_hat + v, grid)
-        transport = director_transport_hat([(d_b, w_b)], p.alpha, grid)
+        transport = director_transport_hat((d_b, w_b), p.alpha, grid)
         u_p = to_padded(u_hat, grid, 2)
         conv = convective_hat([(u_p, u_p)], grid)
         return _Terms(mu, v, transport, conv, d_b, mu_b, w_b, u_p, d3_p)
@@ -264,7 +272,9 @@ class _Workspace:
         """Exact directional derivative of the residual map at the iterate
         underlying t.  All product operators are bilinear, so the derivative
         is a sum of the same operators with one argument replaced, and each
-        such sum is truncated once."""
+        such sum is truncated once.  The products of delta_d are formed first,
+        as padded sums that the products of delta_mu and delta_w are then
+        added into, so one padded direction bundle is alive at a time."""
         p, grid = self.params, self.grid
         dd_b = padded_bundle(delta_d, grid)
         dd3_p = dd_b[0] if self.cubic_on_bundle_grid else to_padded(delta_d, grid, degree=3)
@@ -275,17 +285,22 @@ class _Workspace:
             grid,
         )
         dmu = band_limit_hat(self.lap * delta_d + dfp, grid)
-        dv = extra_velocity_hat([(padded_bundle(dmu, grid), t.d_b), (t.mu_b, dd_b)], p.alpha, grid)
-        dw_b = padded_bundle(delta_u + dv, grid)
-        dtrans = director_transport_hat([(dd_b, t.w_b), (t.d_b, dw_b)], p.alpha, grid)
-        del dd_b, dd3_p, dw_b  # their last products are done
+        dv = extra_velocity_padded((t.mu_b, dd_b), p.alpha, grid)
+        dtrans = director_transport_padded((dd_b, t.w_b), p.alpha, grid)
+        del dd_b, dd3_p  # their last products are done
+        dv = extra_velocity_hat((padded_bundle(dmu, grid), t.d_b), p.alpha, grid, addend=dv)
+        dtrans = director_transport_hat((t.d_b, padded_bundle(delta_u + dv, grid)), p.alpha, grid,
+                                        addend=dtrans)
         du_p = to_padded(delta_u, grid, 2)
         dconv = convective_hat([(du_p, t.u_p), (t.u_p, du_p)], grid)
         return self._assemble(delta_d, delta_u, delta_u, dtrans, dmu, dconv, dv)
 
     def residual_fields(self, d_hat, u_hat, t: _Terms) -> tuple[np.ndarray, np.ndarray]:
+        """The residual at the iterate underlying t; releases t.transport and
+        t.conv, which nothing else reads."""
+        transport, conv, t.transport, t.conv = t.transport, t.conv, None, None
         return self._assemble(d_hat - self.d_prev, u_hat - self.u_prev, u_hat,
-                              t.transport, t.mu, t.conv, t.v)
+                              transport, t.mu, conv, t.v)
 
     def _assemble(self, jump_d, jump_u, u, transport, mu, conv, v):
         """The director and momentum equations, linear in every argument:
@@ -330,6 +345,10 @@ def _gmres(matvec, b: np.ndarray, rel_tol: float, max_inner: int) -> np.ndarray:
     leading block of one preallocated Hessenberg array; with a couple dozen
     inner iterations at most, that costs nothing next to the matvecs and
     avoids rotation bookkeeping.
+
+    b is consumed: it is normalised in place and becomes the first basis
+    vector, and each matvec result (a new array) is orthogonalised and
+    normalised in place into the next, so the basis is the only copy.
     """
 
     def dot(p: np.ndarray, q: np.ndarray) -> float:
@@ -338,7 +357,8 @@ def _gmres(matvec, b: np.ndarray, rel_tol: float, max_inner: int) -> np.ndarray:
     norm_b = np.sqrt(dot(b, b))
     if norm_b == 0.0:
         return np.zeros_like(b)
-    basis = [b / norm_b]
+    b /= norm_b
+    basis = [b]
     h = np.zeros((max_inner + 1, max_inner))
     e1 = np.zeros(max_inner + 1)
     e1[0] = norm_b
@@ -347,7 +367,7 @@ def _gmres(matvec, b: np.ndarray, rel_tol: float, max_inner: int) -> np.ndarray:
         w = matvec(basis[k])
         for i in range(k + 1):
             h[i, k] = dot(basis[i], w)
-            w = w - h[i, k] * basis[i]
+            w -= h[i, k] * basis[i]
         h[k + 1, k] = np.sqrt(dot(w, w))
         if not np.isfinite(h[k + 1, k]):
             break  # the operator overflowed: keep the solution of the earlier columns
@@ -355,7 +375,8 @@ def _gmres(matvec, b: np.ndarray, rel_tol: float, max_inner: int) -> np.ndarray:
         y, *_ = np.linalg.lstsq(hk, ek, rcond=None)
         lucky = h[k + 1, k] <= 1e-14 * norm_b
         if not lucky:
-            basis.append(w / h[k + 1, k])
+            w /= h[k + 1, k]
+            basis.append(w)
         if lucky or np.linalg.norm(hk @ y - ek) <= rel_tol * norm_b:
             break
     out = np.zeros_like(b)
@@ -400,7 +421,9 @@ def _picard_attempt(ws: _Workspace, cfg: PicardConfig,
             return Attempt(ws.tau, "pass_cap", evals, res)
         passes += 1
         t, rhs = payload[2], ws.join(*payload[3:])
-        payload = step = None  # r_d, r_u live on in rhs only; the last update is spent
+        # r_d, r_u live on in rhs only, which _gmres consumes as its first basis
+        # vector; the last update is spent
+        payload = step = None
 
         def matvec(y):
             return ws.join(*ws.jacobian_action(t, *ws.precondition_vec(y)))
@@ -502,9 +525,9 @@ def residual_fully_implicit(
     r_mu = spectral_l2_norm(mu_hat - mu_def) / (1.0 + spectral_l2_norm(mu_hat))
 
     d_b = padded_bundle(d_hat, grid)
-    v_hat = extra_velocity_hat([(padded_bundle(mu_hat, grid), d_b)], params.alpha, grid)
+    v_hat = extra_velocity_hat((padded_bundle(mu_hat, grid), d_b), params.alpha, grid)
     w_b = padded_bundle(u_hat + v_hat, grid)
-    transport = director_transport_hat([(d_b, w_b)], params.alpha, grid)
+    transport = director_transport_hat((d_b, w_b), params.alpha, grid)
     res_d = d_hat - dp_hat + tau * transport + eps * tau * mu_hat
     r_d = spectral_l2_norm(res_d) / (1.0 + spectral_l2_norm(d_hat))
 

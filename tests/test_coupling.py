@@ -4,16 +4,17 @@ import pytest
 from nemflow import coupling
 from nemflow.coupling import director_transport, extra_velocity_hat
 from nemflow.energetics import ModelParams, chemical_potential
-from nemflow.fields import GridSpec, VectorField, wavevectors
-from nemflow.operators import from_padded, padded_bundle, padded_size, to_padded
-from util import band_limited, l2_inner, perturbed_director, solenoidal
+from nemflow.fields import GridSpec, VectorField
+from nemflow.operators import padded_bundle, padded_size, to_padded
+from util import (band_limited, l2_inner, perturbed_director, solenoidal, whole_convective,
+                  whole_extra_velocity, whole_transport)
 
 
 def extra_velocity(mu, d, alpha):
     """The solver's coefficient-space extra velocity of one (mu, d) pair."""
     grid = mu.grid
     pair = (padded_bundle(mu.coeffs, grid), padded_bundle(d.coeffs, grid))
-    return VectorField.from_coefficients(grid, extra_velocity_hat([pair], alpha, grid))
+    return VectorField.from_coefficients(grid, extra_velocity_hat(pair, alpha, grid))
 
 
 @pytest.fixture
@@ -168,39 +169,6 @@ def test_extra_velocity_linearity(grid):
     assert np.max(np.abs(lhs2 - rhs2)) < 1e-12 * max(np.max(np.abs(rhs2)), 1.0)
 
 
-def _full_extra_velocity(pairs, alpha, grid):
-    """extra_velocity_hat on whole padded arrays, the reference for row blocks."""
-    terms = []
-    for (mu_p, gmu_p), (d_p, gd_p) in pairs:
-        div_mu = np.einsum("jj...->...", gmu_p)
-        div_d = np.einsum("jj...->...", gd_p)
-        term = np.einsum("j...,ji...->i...", mu_p, gd_p)
-        term += alpha * (np.einsum("j...,ij...->i...", d_p, gmu_p) + mu_p * div_d)
-        term -= (1.0 - alpha) * (np.einsum("j...,ij...->i...", mu_p, gd_p) + d_p * div_mu)
-        terms.append(term)
-    return from_padded(sum(terms[1:], terms[0]), grid)
-
-
-def _full_transport(pairs, alpha, grid):
-    """director_transport_hat on whole padded arrays."""
-    terms = []
-    for (d_p, gd_p), (w_p, gw_p) in pairs:
-        t = np.einsum("j...,ij...->i...", w_p, gd_p)
-        t -= alpha * np.einsum("ij...,j...->i...", gw_p, d_p)
-        t += (1.0 - alpha) * np.einsum("ji...,j...->i...", gw_p, d_p)
-        terms.append(t)
-    return from_padded(sum(terms[1:], terms[0]), grid)
-
-
-def _full_convective(pairs, grid):
-    """convective_hat on whole padded arrays."""
-    rows, cols = np.triu_indices(grid.dim)
-    sym_hat = from_padded(sum(a[rows] * b[cols] for a, b in pairs), grid)
-    slot = np.empty((grid.dim, grid.dim), dtype=int)
-    slot[rows, cols] = slot[cols, rows] = np.arange(rows.size)
-    return np.sum(2.0j * np.pi * wavevectors(grid) * sym_hat[slot], axis=1)
-
-
 @pytest.mark.parametrize("dim,n,mode,blocks", [
     (2, 64, "exact", True),        # m = 96
     (2, 128, "two_thirds", True),  # m = 192
@@ -209,8 +177,9 @@ def _full_convective(pairs, grid):
 ])
 def test_row_blocks_equal_whole_array_products(dim, n, mode, blocks):
     """The products summed one block of rows at a time equal, bit for bit,
-    the same operations on whole padded arrays, for one and for two pairs,
-    including a last block shorter than the others."""
+    the same operations on whole padded arrays, for one pair and for two (the
+    second as the padded addend of the first), including a last block shorter
+    than the others."""
     grid = GridSpec(dim, n, mode)
     m = padded_size(grid, 2)
     rows = coupling._BLOCK_SIZE // m ** (dim - 1)
@@ -219,10 +188,16 @@ def test_row_blocks_equal_whole_array_products(dim, n, mode, blocks):
     b = [padded_bundle(c, grid) for c in fields]
     u = [to_padded(c, grid, 2) for c in fields[:2]]
     alpha = 0.3
-    for pairs in ([(b[0], b[1])], [(b[0], b[1]), (b[2], b[3])]):
-        assert np.array_equal(extra_velocity_hat(pairs, alpha, grid),
-                              _full_extra_velocity(pairs, alpha, grid))
-        assert np.array_equal(coupling.director_transport_hat(pairs, alpha, grid),
-                              _full_transport(pairs, alpha, grid))
+    one, two = (b[0], b[1]), (b[2], b[3])
+    assert np.array_equal(extra_velocity_hat(one, alpha, grid),
+                          whole_extra_velocity([one], alpha, grid))
+    assert np.array_equal(coupling.director_transport_hat(one, alpha, grid),
+                          whole_transport([one], alpha, grid))
+    addend = coupling.extra_velocity_padded(two, alpha, grid)
+    assert np.array_equal(extra_velocity_hat(one, alpha, grid, addend=addend),
+                          whole_extra_velocity([one, two], alpha, grid))
+    addend = coupling.director_transport_padded(two, alpha, grid)
+    assert np.array_equal(coupling.director_transport_hat(one, alpha, grid, addend=addend),
+                          whole_transport([one, two], alpha, grid))
     for pairs in ([(u[0], u[0])], [(u[0], u[1]), (u[1], u[0])]):
-        assert np.array_equal(coupling.convective_hat(pairs, grid), _full_convective(pairs, grid))
+        assert np.array_equal(coupling.convective_hat(pairs, grid), whole_convective(pairs, grid))

@@ -16,11 +16,13 @@ from nemflow.operators import (
     band_limit_hat,
     divergence,
     from_padded,
+    grad_hat,
     gradient,
     laplacian,
     leray_hat,
     leray_project,
     max_mode_divergence,
+    padded_gradient,
     padded_size,
     to_padded,
 )
@@ -350,6 +352,27 @@ def test_slice_copies_equal_full_pass_bitwise(dim, n, mode, degree):
         # byte comparison: zeros must match in sign too
         got, want = from_padded(samples, grid), _full_pass_from_padded(samples, grid)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _padded_gradient_reference(coeffs, grid):
+    """The gradient in coefficient space, then padded as one array."""
+    return to_padded(grad_hat(coeffs, grid), grid, 2)
+
+
+@pytest.mark.parametrize("dim,mode", [(d, m) for d in (2, 3) for m in ("none", "two_thirds", "exact")])
+def test_padded_gradient_per_direction_equals_whole_gradient_bitwise(dim, mode):
+    """Padding each direction into its slot of the output (a strided irfft
+    out) gives the samples of padding the whole coefficient gradient."""
+    grid = GridSpec(dim, 16 if dim == 2 else 8, mode)
+    rng = np.random.default_rng(dim * 10 + len(mode))
+    for lead in ((1,), (dim,)):
+        # white noise: Nyquist content on every axis, halved on the padded grid
+        coeffs = fftn_norm(rng.standard_normal(lead + grid.shape), dim)
+        kept = coeffs.copy()
+        got, want = padded_gradient(coeffs, grid), _padded_gradient_reference(coeffs, grid)
+        assert got.shape == want.shape == lead + (dim,) + (padded_size(grid, 2),) * dim
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+        assert np.array_equal(coeffs, kept)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 6), (2, 16), (3, 8)])

@@ -251,6 +251,25 @@ def test_step_holds_no_earlier_level_or_result(tmp_path, monkeypatch):
     assert not any(any(a) for a in alive), alive
 
 
+def test_levels_hold_no_samples(tmp_path, monkeypatch):
+    """Every level the runner passes to implicit_step as prev, the initial one
+    included, holds coefficients only: the length statistics and the
+    snapshots of the step before used samples that no level keeps."""
+    cfg = parse_config(_config_text(tmp_path, t_end=4e-3, **{
+        "output.snapshot_every": 1, "output.full_state": "true"}))
+    real_step = runner.implicit_step
+    held = []
+
+    def spy(prev, *args, **kwargs):
+        held.append([name for name in ("d", "u") if "values" in vars(getattr(prev, name))])
+        return real_step(prev, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "implicit_step", spy)
+    report = run_simulation(cfg)
+    assert report.status == 0 and report.steps == 4
+    assert held == [[]] * 4, held
+
+
 def test_snapshot_is_moved_into_place(tmp_path, monkeypatch):
     """The snapshot is written under a temporary name in the same directory
     that snapshot listings do not match, then renamed over the target."""

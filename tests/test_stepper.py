@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -19,9 +20,11 @@ from nemflow.stepper import (
 from nemflow.diagnostics import spectral_divergence_max
 from nemflow.fields import NonFiniteError, spectral_l2_norm
 from nemflow.initial import initial_condition
-from nemflow.operators import from_padded, leray_hat, padded_bundle, to_padded
+from nemflow.operators import (band_limit_hat, from_padded, leray_hat, padded_bundle, padded_size,
+                               to_padded)
 from nemflow.runner import _extrapolated_guess
-from util import l2_norm, perturbed_director, refcounting_only, solenoidal
+from util import (band_limited, l2_norm, perturbed_director, refcounting_only, solenoidal,
+                  whole_convective, whole_extra_velocity, whole_transport)
 
 
 def _attempts(exc):
@@ -493,9 +496,9 @@ def _padded_components(monkeypatch):
     def count(key, array, grid):
         seen[key] = seen.get(key, 0) + int(np.prod(array.shape[:-grid.dim]))
 
-    def counted_to(coeffs, grid, degree):
+    def counted_to(coeffs, grid, degree, out=None):
         count(f"to{degree}", coeffs, grid)
-        return real_to(coeffs, grid, degree)
+        return real_to(coeffs, grid, degree, out=out)
 
     def counted_from(values, grid):
         count("from", values, grid)
@@ -595,6 +598,140 @@ def test_newton_pass_releases_dead_arrays(monkeypatch):
     assert len(at_solve) > 2 and len(at_action) > len(at_solve)
     assert not any(at_solve), at_solve
     assert not any(at_action), at_action
+
+
+def test_jacobian_actions_find_no_transport_or_conv(monkeypatch):
+    """transport and conv enter the residual only: during each Jacobian
+    action none of them, from any residual evaluation, is alive."""
+    refs, at_action = [], []  # weakrefs; live ones at each action
+    real_terms, real_action = _Workspace.terms, _Workspace.jacobian_action
+
+    def spy_terms(self, *args):
+        t = real_terms(self, *args)
+        refs.extend((weakref.ref(t.transport), weakref.ref(t.conv)))
+        return t
+
+    def spy_action(self, *args):
+        at_action.append(sum(ref() is not None for ref in refs))
+        return real_action(self, *args)
+
+    monkeypatch.setattr(_Workspace, "terms", spy_terms)
+    monkeypatch.setattr(_Workspace, "jacobian_action", spy_action)
+    with refcounting_only():
+        implicit_step(_warm_start_level(), ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3),
+                      PicardConfig(tol=1e-12))
+    assert len(at_action) > 2 and len(refs) > 4
+    assert not any(at_action), at_action
+
+
+def _direction(grid, seed):
+    """A band-limited (delta_d, delta_u) coefficient pair, delta_u solenoidal."""
+    return (band_limited(grid, grid.dim, seed, scale=0.1).coeffs,
+            solenoidal(grid, seed + 1, scale=0.1).coeffs)
+
+
+def _action_state(grid):
+    prev = StepState(perturbed_director(grid, seed=91, amplitude=0.2),
+                     solenoidal(grid, seed=92, kcut=2, scale=0.2))
+    params = ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3)
+    ws = _Workspace(grid, params, params.tau, prev.d.coeffs, prev.u.coeffs)
+    d_hat = band_limit_hat(prev.d.coeffs + _direction(grid, 93)[0], grid)
+    return ws, d_hat, prev.u.coeffs
+
+
+@pytest.mark.parametrize("dim,n,mode", [(2, 16, "two_thirds"), (2, 12, "exact"),
+                                        (2, 8, "none"), (3, 8, "exact")])
+def test_one_direction_bundle_alive_at_a_time(monkeypatch, dim, n, mode):
+    """A Jacobian action pads the bundles of delta_d, delta_mu and delta_w in
+    turn, and when it pads one, the ones it padded before are gone."""
+    ws, d_hat, u_hat = _action_state(GridSpec(dim, n, mode))
+    t = ws.terms(d_hat, u_hat)
+    padded, alive = [], []  # weakrefs of this action's bundles; live ones at each padding
+    real_bundle = stepper.padded_bundle
+
+    def spy(coeffs, grid):
+        alive.append(sum(ref() is not None for ref in padded))
+        bundle = real_bundle(coeffs, grid)
+        padded.extend(weakref.ref(a) for a in bundle)
+        return bundle
+
+    monkeypatch.setattr(stepper, "padded_bundle", spy)
+    with refcounting_only():
+        ws.jacobian_action(t, *_direction(ws.grid, 94))
+    assert alive == [0, 0, 0]
+
+
+def _two_pair_action(ws, t, delta_d, delta_u):
+    """The Jacobian action with each product's two pairs summed on whole padded
+    arrays, the reference for the padded addends."""
+    p, grid = ws.params, ws.grid
+    dd_b = padded_bundle(delta_d, grid)
+    dd3_p = dd_b[0] if ws.cubic_on_bundle_grid else to_padded(delta_d, grid, 3)
+    d3_p = t.d3_p
+    dfp = from_padded((np.sum(d3_p * d3_p, axis=0) * dd3_p
+                       + 2.0 * np.sum(d3_p * dd3_p, axis=0) * d3_p) / p.gamma, grid)
+    dmu = band_limit_hat(ws.lap * delta_d + dfp, grid)
+    dv = whole_extra_velocity([(padded_bundle(dmu, grid), t.d_b), (t.mu_b, dd_b)], p.alpha, grid)
+    dw_b = padded_bundle(delta_u + dv, grid)
+    dtrans = whole_transport([(dd_b, t.w_b), (t.d_b, dw_b)], p.alpha, grid)
+    du_p = to_padded(delta_u, grid, 2)
+    dconv = whole_convective([(du_p, t.u_p), (t.u_p, du_p)], grid)
+    return ws._assemble(delta_d, delta_u, delta_u, dtrans, dmu, dconv, dv)
+
+
+@pytest.mark.parametrize("dim,n,mode", [(2, 16, "two_thirds"), (2, 12, "exact"),
+                                        (2, 8, "none"), (3, 8, "exact")])
+def test_jacobian_action_equals_two_pair_formula(dim, n, mode):
+    """Adding the second pair of each product into the padded samples of the
+    first gives the action of summing both pairs, bit for bit."""
+    ws, d_hat, u_hat = _action_state(GridSpec(dim, n, mode))
+    t = ws.terms(d_hat, u_hat)
+    for seed in (95, 97):
+        direction = _direction(ws.grid, seed)
+        got, want = ws.jacobian_action(t, *direction), _two_pair_action(ws, t, *direction)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_gmres_builds_its_basis_in_place():
+    """_gmres consumes the right-hand side: the first direction it hands the
+    operator is b itself, normalised in place, and each later one is the
+    array the operator returned before, orthogonalised in place."""
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal((2, 6, 4)) + 1j * rng.standard_normal((2, 6, 4))
+    rhs, seen, made = b.copy(), [], []
+
+    def matvec(y):
+        seen.append(y)
+        made.append(2.0 * y + 0.3 * np.roll(y, 1, axis=1))
+        return made[-1]
+
+    x = stepper._gmres(matvec, b, 1e-10, max_inner=24)
+    assert seen[0] is b and all(s is m for s, m in zip(seen[1:], made))
+    assert abs(spectral_l2_norm(b) - 1.0) < 1e-14
+    residual = 2.0 * x + 0.3 * np.roll(x, 1, axis=1) - rhs
+    assert spectral_l2_norm(residual) <= 1e-10 * spectral_l2_norm(rhs)
+
+
+def test_warm_step_peak_in_padded_arrays():
+    """The traced peak of one warm-started step at 2D n=64 two_thirds, in
+    quadratic padded components (96^2 float64): 99.7 before Jacobian actions
+    kept one direction bundle at a time, levels held no samples and the
+    Krylov basis was built in place, 88.9 after."""
+    grid = GridSpec(2, 64, "two_thirds")
+    prev = StepState(perturbed_director(grid, seed=81, amplitude=0.1),
+                     solenoidal(grid, seed=82, kcut=2, scale=0.1))
+    params = ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3)
+    first = implicit_step(prev, params).state  # also fills the per-grid caches
+    guess = _extrapolated_guess(first, prev)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = implicit_step(first, params, guess=guess)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert result.tau_used == params.tau
+    assert peak <= 94 * padded_size(grid, 2) ** 2 * 8, peak / (padded_size(grid, 2) ** 2 * 8)
 
 
 def test_krylov_directions_are_real_fields(monkeypatch):

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: deterministic band-limited fields, an
 L2 quadrature from samples that is independent of the solver's Parseval sums,
-an explicit RK4 integrator for pure director transport, and a context in
-which only reference counts free objects."""
+an explicit RK4 integrator for pure director transport, the coupling
+products on whole padded arrays, and a context in which only reference counts
+free objects."""
 
 from __future__ import annotations
 
@@ -11,8 +12,9 @@ from contextlib import contextmanager
 import numpy as np
 
 from nemflow.coupling import director_transport_hat
-from nemflow.fields import GridSpec, VectorField, fftn_norm, ifftn_norm, integer_wavevectors
-from nemflow.operators import leray_hat, padded_bundle
+from nemflow.fields import (GridSpec, VectorField, fftn_norm, ifftn_norm, integer_wavevectors,
+                            wavevectors)
+from nemflow.operators import from_padded, leray_hat, padded_bundle
 
 
 def band_limited(grid: GridSpec, components: int, seed: int, kcut: int | None = None,
@@ -80,7 +82,7 @@ def transport_only_run(
     d_hat = d0.coeffs
 
     def rhs(dh):
-        return -director_transport_hat([(padded_bundle(dh, grid), w_b)], alpha, grid)
+        return -director_transport_hat((padded_bundle(dh, grid), w_b), alpha, grid)
 
     for _ in range(steps):
         k1 = rhs(d_hat)
@@ -89,6 +91,42 @@ def transport_only_run(
         k4 = rhs(d_hat + tau * k3)
         d_hat = d_hat + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return VectorField.from_coefficients(grid, d_hat)
+
+
+def whole_extra_velocity(pairs, alpha, grid):
+    """extra_velocity_hat summed over (mu, d) bundle pairs on whole padded
+    arrays: the reference for the row-blocked products and their padded
+    addends."""
+    terms = []
+    for (mu_p, gmu_p), (d_p, gd_p) in pairs:
+        div_mu = np.einsum("jj...->...", gmu_p)
+        div_d = np.einsum("jj...->...", gd_p)
+        term = np.einsum("j...,ji...->i...", mu_p, gd_p)
+        term += alpha * (np.einsum("j...,ij...->i...", d_p, gmu_p) + mu_p * div_d)
+        term -= (1.0 - alpha) * (np.einsum("j...,ij...->i...", mu_p, gd_p) + d_p * div_mu)
+        terms.append(term)
+    return from_padded(sum(terms[1:], terms[0]), grid)
+
+
+def whole_transport(pairs, alpha, grid):
+    """director_transport_hat summed over (d, w) bundle pairs on whole padded
+    arrays."""
+    terms = []
+    for (d_p, gd_p), (w_p, gw_p) in pairs:
+        t = np.einsum("j...,ij...->i...", w_p, gd_p)
+        t -= alpha * np.einsum("ij...,j...->i...", gw_p, d_p)
+        t += (1.0 - alpha) * np.einsum("ji...,j...->i...", gw_p, d_p)
+        terms.append(t)
+    return from_padded(sum(terms[1:], terms[0]), grid)
+
+
+def whole_convective(pairs, grid):
+    """convective_hat on whole padded arrays."""
+    rows, cols = np.triu_indices(grid.dim)
+    sym_hat = from_padded(sum(a[rows] * b[cols] for a, b in pairs), grid)
+    slot = np.empty((grid.dim, grid.dim), dtype=int)
+    slot[rows, cols] = slot[cols, rows] = np.arange(rows.size)
+    return np.sum(2.0j * np.pi * wavevectors(grid) * sym_hat[slot], axis=1)
 
 
 @contextmanager
