@@ -35,8 +35,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .fields import GridSpec, VectorField, wavevectors
-from .operators import from_padded, padded_bundle
+from .fields import GridSpec, wavevectors
+from .operators import from_padded
 
 Bundle = tuple[np.ndarray, np.ndarray]  # (padded samples, padded gradient samples)
 Pair = tuple[Bundle, Bundle]
@@ -132,15 +132,3 @@ def convective_hat(pairs: Sequence[tuple[np.ndarray, np.ndarray]], grid: GridSpe
     slot = np.empty((grid.dim, grid.dim), dtype=int)
     slot[rows, cols] = slot[cols, rows] = np.arange(rows.size)
     return np.sum(2.0j * np.pi * wavevectors(grid) * sym_hat[slot], axis=1)
-
-
-def director_transport(d: VectorField, w: VectorField, alpha: float) -> VectorField:
-    """T(d, w) = (w . grad) d - alpha (grad w) d + (1 - alpha) (grad^T w) d."""
-    grid = d.grid
-    if w.grid != grid:
-        raise ValueError("fields live on different grids")
-    if d.components != grid.dim or w.components != grid.dim:
-        raise ValueError("expected dim-component fields")
-    pair = (padded_bundle(d.coeffs, grid), padded_bundle(w.coeffs, grid))
-    return VectorField.from_coefficients(grid, director_transport_hat(pair, alpha, grid))
-

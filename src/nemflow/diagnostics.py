@@ -54,7 +54,6 @@ class EnergyLedger:
 class LengthStats(NamedTuple):
     min: float
     max: float
-    max_deviation: float
 
 
 def build_ledger(
@@ -119,13 +118,9 @@ def check_energy_inequality(ledger: EnergyLedger, budget: float) -> bool:
 
 
 def director_length_stats(d: VectorField) -> LengthStats:
-    """Pointwise |d| statistics: (min, max, max | |d|-1 |)."""
+    """Pointwise |d| statistics: (min, max)."""
     length = np.sqrt(np.sum(d.values * d.values, axis=0))
-    return LengthStats(
-        float(np.min(length)),
-        float(np.max(length)),
-        float(np.max(np.abs(length - 1.0))),
-    )
+    return LengthStats(float(np.min(length)), float(np.max(length)))
 
 
 def h2_diagnostic(d_hat: np.ndarray, grid: GridSpec) -> float:

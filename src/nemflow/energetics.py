@@ -121,10 +121,6 @@ def chemical_potential(d: VectorField, d_prev: VectorField, params: ModelParams)
     return VectorField.from_coefficients(d.grid, mu)
 
 
-def total_energy(
-    d: VectorField, u: VectorField, params: ModelParams, grid: GridSpec | None = None
-) -> EnergyBreakdown:
+def total_energy(d: VectorField, u: VectorField, params: ModelParams) -> EnergyBreakdown:
     """Elastic + well + kinetic energy of a state (unit volume)."""
-    grid = grid or d.grid
-    return total_energy_hat(d.coeffs, u.coeffs, params, grid)
-
+    return total_energy_hat(d.coeffs, u.coeffs, params, d.grid)

@@ -12,11 +12,10 @@ retained trigonometric space excludes the Nyquist slots (|k_j| = n/2):
 derivatives of the unpaired Nyquist mode are ill-defined on an even grid, so
 projections zero it and differential operators ignore it.
 
-A field holds the representation it was built from, samples or half-layout
-coefficients, and makes the other on first read.  The typed operators read
-f.coeffs and return fields built from coefficients, and so does the solver
-for its levels, mu and v: samples are synthesised only where snapshots and
-pointwise statistics read them.
+A VectorField holds the representation it was built from, samples or
+half-layout coefficients, and makes the other on first read.  The solver
+builds its levels, mu and v from coefficients: samples are synthesised only
+where snapshots and pointwise statistics read them.
 """
 
 from __future__ import annotations
@@ -104,16 +103,14 @@ def laplace_symbol(grid: GridSpec) -> np.ndarray:
     return _freeze(4.0 * np.pi**2 * np.sum(k * k, axis=0))
 
 
-class _Field:
-    """A field on the grid, held as the real samples or the half-layout
-    coefficients it was built from; the other representation is made on first
-    read and cached.  Both arrays are read-only, so fields can be shared.
+class VectorField:
+    """A field on the grid: values (components, n, ..., n), coeffs
+    (components, n, ..., n, n//2 + 1); a scalar field has components == 1.
 
-    The leading rank axes are components (then, for rank 2, dim); the
-    trailing grid.dim axes are spatial.
+    It holds the real samples or the half-layout coefficients it was built
+    from; the other representation is made on first read and cached.  Both
+    arrays are read-only, so fields can be shared.
     """
-
-    rank = 1
 
     def __init__(self, grid: GridSpec, values: np.ndarray):
         self._hold(grid, "values", np.asarray(values, dtype=np.float64), grid.shape)
@@ -127,10 +124,13 @@ class _Field:
         field._hold(grid, "coeffs", np.asarray(coeffs, dtype=np.complex128), half)
         return field
 
+    @staticmethod
+    def zeros(grid: GridSpec, components: int) -> "VectorField":
+        return VectorField(grid, np.zeros((components, *grid.shape)))
+
     def _hold(self, grid: GridSpec, name: str, a: np.ndarray, spatial: tuple[int, ...]) -> None:
-        axes = (grid.dim,) * (self.rank - 1) + spatial  # all but the components axis
-        if a.ndim != self.rank + grid.dim or a.shape[1:] != axes:
-            raise ValueError(f"{type(self).__name__} {name} shape {a.shape} does not match {axes}")
+        if a.ndim != 1 + grid.dim or a.shape[1:] != spatial:
+            raise ValueError(f"{type(self).__name__} {name} shape {a.shape} does not match {spatial}")
         if not np.all(np.isfinite(a)):
             raise NonFiniteError(f"{type(self).__name__} {name} are not all finite")
         # the instance dict shadows the cached property of the same name
@@ -148,21 +148,6 @@ class _Field:
     @cached_property
     def coeffs(self) -> np.ndarray:
         return _freeze(fftn_norm(self.values, self.grid.dim))
-
-
-class VectorField(_Field):
-    """Vector-valued field: values (components, n, ..., n), coeffs
-    (components, n, ..., n, n//2 + 1).  A scalar field has components == 1."""
-
-    @staticmethod
-    def zeros(grid: GridSpec, components: int) -> "VectorField":
-        return VectorField(grid, np.zeros((components, *grid.shape)))
-
-
-class TensorField(_Field):
-    """Matrix-valued field: values (components, dim, n, ..., n)."""
-
-    rank = 2
 
 
 def fftn_norm(values: np.ndarray, dim: int) -> np.ndarray:

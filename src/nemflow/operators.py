@@ -17,9 +17,8 @@ the Leray projection zero the Nyquist slots with one slice per axis, and
 project_real also makes the one plane of the half layout that holds both k
 and -k exactly Hermitian.
 
-Internal helpers operate on raw half-layout coefficient arrays (fields) with
-any number of leading axes followed by grid.dim spectral axes; the typed
-wrappers work on VectorField/TensorField.
+Every operator works on raw half-layout coefficient arrays with any number
+of leading axes followed by grid.dim spectral axes.
 """
 
 from __future__ import annotations
@@ -29,14 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import (
-    GridSpec,
-    TensorField,
-    VectorField,
-    _freeze,
-    laplace_symbol,
-    wavevectors,
-)
+from .fields import GridSpec, _freeze, wavevectors
 
 _TWO_PI_I = 2.0j * np.pi
 
@@ -221,39 +213,3 @@ def padded_bundle(coeffs: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.nd
     """(samples, gradient samples) of a field on the quadratic padded grid:
     the input of every bilinear product in coupling."""
     return to_padded(coeffs, grid, 2), padded_gradient(coeffs, grid)
-
-
-# ---------------------------------------------------------------------------
-# typed operators
-
-
-def gradient(f: VectorField) -> TensorField:
-    """Jacobian with the convention (grad f)_{ij} = df_i/dx_j."""
-    return TensorField.from_coefficients(f.grid, grad_hat(f.coeffs, f.grid))
-
-
-def divergence(m: VectorField | TensorField) -> VectorField:
-    """Row-wise divergence: (div M)_i = sum_j dM_{ij}/dx_j.
-
-    A VectorField with dim components contracts to a one-component field.
-    """
-    grid = m.grid
-    if isinstance(m, VectorField):
-        if m.components != grid.dim:
-            raise ValueError("divergence of a vector field needs dim components")
-        coeffs = m.coeffs[None]
-    else:
-        coeffs = m.coeffs
-    div_hat = np.sum(_TWO_PI_I * wavevectors(grid) * coeffs, axis=1)
-    return VectorField.from_coefficients(grid, div_hat)
-
-
-def laplacian(f: VectorField) -> VectorField:
-    return VectorField.from_coefficients(f.grid, -laplace_symbol(f.grid) * f.coeffs)
-
-
-def leray_project(w: VectorField) -> VectorField:
-    """L2-orthogonal projection onto solenoidal, zero-mean vector fields."""
-    if w.components != w.grid.dim:
-        raise ValueError("leray_project needs a dim-component field")
-    return VectorField.from_coefficients(w.grid, leray_hat(w.coeffs, w.grid))

@@ -132,16 +132,13 @@ class StepResult:
 
 @dataclass
 class _Terms:
-    """Nonlinear terms at one iterate (coefficient space), with the padded
-    bundles of d, mu and w = u + v and the samples of u for exact Jacobian
-    actions.  conv is div P(u (x) u), which "none" mode aliases (see coupling).
-    transport and conv enter the residual only, so residual_fields releases
-    them: they are None during the Jacobian actions."""
+    """The nonlinear terms at one iterate that outlive its residual: mu and v
+    (coefficient space), the padded bundles of d, mu and w = u + v and the
+    samples of u, for exact Jacobian actions.  The transport and convection
+    terms enter the residual only, so they are never kept."""
 
     mu: np.ndarray
     v: np.ndarray
-    transport: np.ndarray | None
-    conv: np.ndarray | None
     d_b: tuple[np.ndarray, np.ndarray]
     mu_b: tuple[np.ndarray, np.ndarray]
     w_b: tuple[np.ndarray, np.ndarray]
@@ -252,7 +249,11 @@ class _Workspace:
         self.c_blk = tau * _mode_matmul(proj, _mode_matmul(cmat, msym))
         self.schur_inv = _mode_inverse(a_blk - _mode_matmul(self.bs_blk, self.c_blk))
 
-    def terms(self, d_hat: np.ndarray, u_hat: np.ndarray) -> _Terms:
+    def terms(
+        self, d_hat: np.ndarray, u_hat: np.ndarray
+    ) -> tuple[_Terms, np.ndarray, np.ndarray]:
+        """The terms at the iterate (d_hat, u_hat) and its residual (r_d, r_u).
+        conv is div P(u (x) u), which "none" mode aliases (see coupling)."""
         p, grid = self.params, self.grid
         d_b = padded_bundle(d_hat, grid)
         d3_p = d_b[0] if self.cubic_on_bundle_grid else to_padded(d_hat, grid, degree=3)
@@ -264,7 +265,9 @@ class _Workspace:
         transport = director_transport_hat((d_b, w_b), p.alpha, grid)
         u_p = to_padded(u_hat, grid, 2)
         conv = convective_hat([(u_p, u_p)], grid)
-        return _Terms(mu, v, transport, conv, d_b, mu_b, w_b, u_p, d3_p)
+        r_d, r_u = self._assemble(d_hat - self.d_prev, u_hat - self.u_prev, u_hat,
+                                  transport, mu, conv, v)
+        return _Terms(mu, v, d_b, mu_b, w_b, u_p, d3_p), r_d, r_u
 
     def jacobian_action(
         self, t: _Terms, delta_d: np.ndarray, delta_u: np.ndarray
@@ -294,13 +297,6 @@ class _Workspace:
         du_p = to_padded(delta_u, grid, 2)
         dconv = convective_hat([(du_p, t.u_p), (t.u_p, du_p)], grid)
         return self._assemble(delta_d, delta_u, delta_u, dtrans, dmu, dconv, dv)
-
-    def residual_fields(self, d_hat, u_hat, t: _Terms) -> tuple[np.ndarray, np.ndarray]:
-        """The residual at the iterate underlying t; releases t.transport and
-        t.conv, which nothing else reads."""
-        transport, conv, t.transport, t.conv = t.transport, t.conv, None, None
-        return self._assemble(d_hat - self.d_prev, u_hat - self.u_prev, u_hat,
-                              transport, t.mu, conv, t.v)
 
     def _assemble(self, jump_d, jump_u, u, transport, mu, conv, v):
         """The director and momentum equations, linear in every argument:
@@ -400,8 +396,7 @@ def _picard_attempt(ws: _Workspace, cfg: PicardConfig,
 
     def evaluate(x):
         d_hat, u_hat = ws.split(x)
-        t = ws.terms(d_hat, u_hat)
-        r_d, r_u = ws.residual_fields(d_hat, u_hat, t)
+        t, r_d, r_u = ws.terms(d_hat, u_hat)
         rd = spectral_l2_norm(r_d) / (1.0 + spectral_l2_norm(d_hat))
         ru = spectral_l2_norm(r_u) / (1.0 + spectral_l2_norm(u_hat))
         res = max(rd, ru) if np.isfinite(rd) and np.isfinite(ru) else np.inf

@@ -16,8 +16,8 @@ from itertools import product
 
 import numpy as np
 
-from .energetics import EnergyBreakdown, ModelParams
-from .fields import GridSpec, VectorField
+from nemflow.energetics import EnergyBreakdown, ModelParams
+from nemflow.fields import GridSpec, VectorField
 
 _FINE_FACTOR = 4
 

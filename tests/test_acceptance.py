@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from nemflow.config import parse_config
-from nemflow.coupling import director_transport
+from nemflow.coupling import director_transport_hat
 from nemflow.diagnostics import director_length_stats, spectral_divergence_max
 from nemflow.energetics import ModelParams, chemical_potential, total_energy
-from nemflow.fields import GridSpec, VectorField
+from nemflow.fields import GridSpec, VectorField, ifftn_norm, laplace_symbol
 from nemflow.initial import initial_condition
+from nemflow.operators import grad_hat, leray_hat, padded_bundle
 from nemflow.runner import _extrapolated_guess, run_simulation
 from nemflow.snapshots import read_snapshot, write_snapshot
 from nemflow.stepper import (
@@ -25,6 +26,7 @@ from nemflow.stepper import (
     implicit_step,
     residual_fully_implicit,
 )
+import oracle
 from util import (
     band_limited,
     l2_inner,
@@ -105,7 +107,8 @@ def test_criterion_3_length_mechanism():
     for trial in range(100):
         d = band_limited(grid, 2, seed=1000 + trial, kcut=5)
         w = solenoidal(grid, seed=2000 + trial, kcut=5)
-        t = director_transport(d, w, alpha=0.5)
+        pair = (padded_bundle(d.coeffs, grid), padded_bundle(w.coeffs, grid))
+        t = VectorField.from_coefficients(grid, director_transport_hat(pair, 0.5, grid))
         pairing = abs(l2_inner(d, t))
         bound = 1e-12 * l2_inner(d, d) * max(l2_norm(w), 1e-30)
         pairing_ok &= pairing <= bound
@@ -116,7 +119,8 @@ def test_criterion_3_length_mechanism():
     d0 = VectorField(grid32, np.stack([np.cos(phi), np.sin(phi)]))
     w = solenoidal(grid32, seed=5, kcut=2, scale=0.5)
     final = transport_only_run(d0, w, alpha=0.5, tau=1e-4, steps=100)
-    drift = director_length_stats(final).max_deviation
+    stats = director_length_stats(final)
+    drift = max(1.0 - stats.min, stats.max - 1.0)
     ok = pairing_ok and drift <= 1e-6
     _report(f"3 alpha=1/2 length mechanism (drift {drift:.2e})", ok)
     assert pairing_ok
@@ -125,9 +129,6 @@ def test_criterion_3_length_mechanism():
 
 @pytest.mark.parametrize("dim,n", [(2, 8), (3, 4)])
 def test_criterion_4_oracle_equivalence(dim, n):
-    from nemflow import oracle
-    from nemflow.operators import divergence, gradient, laplacian, leray_project
-
     grid = GridSpec(dim, n, "exact")
     kcut = n // 2 - 1
     worst = 0.0  # worst error relative to the operator output scale
@@ -137,17 +138,21 @@ def test_criterion_4_oracle_equivalence(dim, n):
 
     for trial in range(20):
         f = band_limited(grid, 1, seed=100 + trial, kcut=kcut)
+        grad = ifftn_norm(grad_hat(f.coeffs, grid), dim)
         for j in range(dim):
             mat = oracle.dense_operator_matrix(grid, f"gradient_{j + 1}")
             want = (mat @ f.values[0].ravel()).real
-            worst = max(worst, rel(gradient(f).values[0, j].ravel(), want))
+            worst = max(worst, rel(grad[0, j].ravel(), want))
         mat = oracle.dense_operator_matrix(grid, "laplacian")
-        worst = max(worst, rel(laplacian(f).values[0].ravel(), mat @ f.values[0].ravel()))
+        lap = ifftn_norm(-laplace_symbol(grid) * f.coeffs, dim)
+        worst = max(worst, rel(lap[0].ravel(), mat @ f.values[0].ravel()))
         w = band_limited(grid, dim, seed=300 + trial, kcut=kcut)
         mat = oracle.dense_operator_matrix(grid, "divergence")
-        worst = max(worst, rel(divergence(w).values[0].ravel(), mat @ w.values.reshape(-1)))
+        div = ifftn_norm(np.einsum("jj...->...", grad_hat(w.coeffs, grid)), dim)
+        worst = max(worst, rel(div.ravel(), mat @ w.values.reshape(-1)))
         mat = oracle.dense_operator_matrix(grid, "leray")
-        worst = max(worst, rel(leray_project(w).values.reshape(-1), mat @ w.values.reshape(-1)))
+        proj = ifftn_norm(leray_hat(w.coeffs, grid), dim)
+        worst = max(worst, rel(proj.reshape(-1), mat @ w.values.reshape(-1)))
     ops_ok = worst <= 1e-12
 
     params = ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3)
@@ -156,7 +161,7 @@ def test_criterion_4_oracle_equivalence(dim, n):
         d = perturbed_director(grid, seed=400 + trial, amplitude=0.25, kcut=kcut)
         u = solenoidal(grid, seed=500 + trial, kcut=kcut, scale=0.3)
         ours = total_energy(d, u, params)
-        ref = __import__("nemflow.oracle", fromlist=["quadrature_energy"]).quadrature_energy(d, u, params)
+        ref = oracle.quadrature_energy(d, u, params)
         energy_err = max(energy_err, abs(ours.elastic - ref.elastic),
                          abs(ours.well - ref.well), abs(ours.kinetic - ref.kinetic))
     energy_ok = energy_err <= 1e-11
@@ -168,9 +173,7 @@ def test_criterion_4_oracle_equivalence(dim, n):
     result = implicit_step(prev, params, PicardConfig(tol=1e-11))
     cand = (result.state.d, result.state.u, result.mu)
     prod = residual_fully_implicit(prev, cand, params)
-    from nemflow.oracle import dense_scheme_residual
-
-    dense = dense_scheme_residual(prev.d, prev.u, cand, params)
+    dense = oracle.dense_scheme_residual(prev.d, prev.u, cand, params)
     resid_err = max(abs(a - b) for a, b in zip(prod, dense))
     resid_ok = all(abs(a - b) <= 1e-10 for a, b in zip(prod, dense))
 
@@ -202,7 +205,7 @@ def test_criterion_6_variational_consistency():
     zero_u = VectorField.zeros(grid, 2)
 
     def internal(values):
-        return total_energy(VectorField(grid, values), zero_u, params, grid).total
+        return total_energy(VectorField(grid, values), zero_u, params).total
 
     mu = chemical_potential(d, d, params)
     worst_order = np.inf

@@ -2,19 +2,21 @@ import numpy as np
 import pytest
 
 from nemflow import coupling
-from nemflow.coupling import director_transport, extra_velocity_hat
+from nemflow.coupling import director_transport_hat, extra_velocity_hat
 from nemflow.energetics import ModelParams, chemical_potential
-from nemflow.fields import GridSpec, VectorField
-from nemflow.operators import padded_bundle, padded_size, to_padded
+from nemflow.fields import GridSpec, VectorField, ifftn_norm
+from nemflow.operators import grad_hat, padded_bundle, padded_size, to_padded
+import oracle
 from util import (band_limited, l2_inner, perturbed_director, solenoidal, whole_convective,
                   whole_extra_velocity, whole_transport)
 
 
-def extra_velocity(mu, d, alpha):
-    """The solver's coefficient-space extra velocity of one (mu, d) pair."""
-    grid = mu.grid
-    pair = (padded_bundle(mu.coeffs, grid), padded_bundle(d.coeffs, grid))
-    return VectorField.from_coefficients(grid, extra_velocity_hat(pair, alpha, grid))
+def product(hat, a, b, alpha):
+    """The solver's coefficient-space product hat (extra_velocity_hat or
+    director_transport_hat) of one (a, b) pair."""
+    grid = a.grid
+    pair = (padded_bundle(a.coeffs, grid), padded_bundle(b.coeffs, grid))
+    return VectorField.from_coefficients(grid, hat(pair, alpha, grid))
 
 
 @pytest.fixture
@@ -25,7 +27,7 @@ def grid():
 def test_extra_velocity_uniform_inputs_vanish(grid):
     mu = VectorField(grid, np.broadcast_to(np.array([0.3, -0.2])[:, None, None], (2, 8, 8)).copy())
     d = VectorField(grid, np.broadcast_to(np.array([1.0, 0.5])[:, None, None], (2, 8, 8)).copy())
-    v = extra_velocity(mu, d, alpha=0.3)
+    v = product(extra_velocity_hat, mu, d, alpha=0.3)
     assert np.max(np.abs(v.values)) < 1e-13
 
 
@@ -39,7 +41,7 @@ def test_extra_velocity_uniform_director_reduction(grid):
     mu_vals[0] = np.sin(2 * np.pi * x[0])
     mu = VectorField(grid, mu_vals)
     d = VectorField(grid, np.broadcast_to(c[:, None, None], (2, 8, 8)).copy())
-    v = extra_velocity(mu, d, alpha)
+    v = product(extra_velocity_hat, mu, d, alpha)
     grad_mu0 = 2 * np.pi * np.cos(2 * np.pi * x[0])
     want = np.zeros_like(mu_vals)
     want[0] = alpha * c[0] * grad_mu0 - (1 - alpha) * c[0] * grad_mu0
@@ -48,12 +50,10 @@ def test_extra_velocity_uniform_director_reduction(grid):
 
 
 def test_extra_velocity_matches_dense_oracle(grid):
-    from nemflow import oracle
-
     alpha = 0.35
     mu = band_limited(grid, 2, seed=41, kcut=3)
     d = band_limited(grid, 2, seed=42, kcut=3)
-    got = extra_velocity(mu, d, alpha)
+    got = product(extra_velocity_hat, mu, d, alpha)
 
     cd = oracle._coefficients(grid, d.values)
     cmu = oracle._coefficients(grid, mu.values)
@@ -81,7 +81,7 @@ def test_extra_velocity_matches_dense_oracle(grid):
 
 def test_director_transport_zero_velocity(grid):
     d = band_limited(grid, 2, seed=43)
-    t = director_transport(d, VectorField.zeros(grid, 2), alpha=0.4)
+    t = product(director_transport_hat, d, VectorField.zeros(grid, 2), alpha=0.4)
     assert np.max(np.abs(t.values)) == 0.0
 
 
@@ -89,19 +89,17 @@ def test_director_transport_skew_pairing_alpha_half(grid):
     for seed in range(5):
         d = band_limited(grid, 2, seed=50 + seed, kcut=3)
         w = solenoidal(grid, seed=60 + seed, kcut=3)
-        t = director_transport(d, w, alpha=0.5)
+        t = product(director_transport_hat, d, w, alpha=0.5)
         pairing = l2_inner(d, t)
         bound = 1e-12 * max(l2_inner(d, d) * np.sqrt(l2_inner(w, w)), 1e-30)
         assert abs(pairing) <= bound
 
 
 def test_director_transport_matches_dense_oracle(grid):
-    from nemflow import oracle
-
     alpha = 0.25
     d = band_limited(grid, 2, seed=70, kcut=3)
     w = band_limited(grid, 2, seed=71, kcut=3)
-    got = director_transport(d, w, alpha)
+    got = product(director_transport_hat, d, w, alpha)
 
     cd = oracle._coefficients(grid, d.values)
     cw = oracle._coefficients(grid, w.values)
@@ -132,9 +130,9 @@ def test_weak_strong_duality(grid):
     d_prev = perturbed_director(grid, seed=91, amplitude=0.25, kcut=3)
     u = solenoidal(grid, seed=92, kcut=3)
     mu = chemical_potential(d, d_prev, params)
-    v = extra_velocity(mu, d, params.alpha)
+    v = product(extra_velocity_hat, mu, d, params.alpha)
     w = VectorField(grid, u.values + v.values)
-    t = director_transport(d, w, params.alpha)
+    t = product(director_transport_hat, d, w, params.alpha)
     lhs = l2_inner(t, mu)
     rhs = l2_inner(w, v)
     assert lhs == pytest.approx(rhs, abs=1e-11 * max(abs(lhs), 1.0))
@@ -142,11 +140,9 @@ def test_weak_strong_duality(grid):
 
 def test_alpha_half_pointwise_identity(grid):
     """d . [(grad w - grad^T w) d] vanishes at every sample."""
-    from nemflow.operators import gradient
-
     d = band_limited(grid, 2, seed=95)
     w = band_limited(grid, 2, seed=96)
-    gw = gradient(w).values
+    gw = ifftn_norm(grad_hat(w.coeffs, grid), 2)
     skew = 0.5 * (gw - np.swapaxes(gw, 0, 1))
     val = np.einsum("i...,ij...,j...->...", d.values, skew, d.values)
     assert np.max(np.abs(val)) < 1e-13
@@ -154,18 +150,22 @@ def test_alpha_half_pointwise_identity(grid):
 
 def test_extra_velocity_linearity(grid):
     alpha = 0.6
+
+    def v(mu, d):
+        return product(extra_velocity_hat, mu, d, alpha).values
+
     mu1 = band_limited(grid, 2, seed=100)
     mu2 = band_limited(grid, 2, seed=101)
     d = band_limited(grid, 2, seed=102)
     combo = VectorField(grid, 2.0 * mu1.values - 0.5 * mu2.values)
-    lhs = extra_velocity(combo, d, alpha).values
-    rhs = 2.0 * extra_velocity(mu1, d, alpha).values - 0.5 * extra_velocity(mu2, d, alpha).values
+    lhs = v(combo, d)
+    rhs = 2.0 * v(mu1, d) - 0.5 * v(mu2, d)
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(np.max(np.abs(rhs)), 1.0)
 
     d2 = band_limited(grid, 2, seed=103)
     combo_d = VectorField(grid, 0.7 * d.values + 1.3 * d2.values)
-    lhs2 = extra_velocity(mu1, combo_d, alpha).values
-    rhs2 = 0.7 * extra_velocity(mu1, d, alpha).values + 1.3 * extra_velocity(mu1, d2, alpha).values
+    lhs2 = v(mu1, combo_d)
+    rhs2 = 0.7 * v(mu1, d) + 1.3 * v(mu1, d2)
     assert np.max(np.abs(lhs2 - rhs2)) < 1e-12 * max(np.max(np.abs(rhs2)), 1.0)
 
 

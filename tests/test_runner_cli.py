@@ -149,6 +149,25 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_cli_loads_exactly_the_package_modules():
+    """The package holds only the program: in a fresh interpreter, importing
+    the CLI loads every module under src/nemflow and no other nemflow module,
+    so a module there that no program path imports fails this test."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = ("import sys, nemflow.cli; print(nemflow.__path__[0]); "
+            "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'nemflow'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    where, loaded = proc.stdout.splitlines()
+    assert Path(where).resolve() == src / "nemflow"
+    files = {"nemflow" if p.stem == "__init__" else f"nemflow.{p.stem}"
+             for p in (src / "nemflow").glob("*.py")}
+    assert set(loaded.split()) == files
+
+
 def test_snapshot_roundtrip_bitwise(tmp_path):
     rng = np.random.default_rng(0)
     fields = {

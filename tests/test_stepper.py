@@ -173,7 +173,7 @@ def _sweep(prev, iterate, params):
     ws = _Workspace(grid, params, params.tau,
                     fftn_norm(prev.d.values, grid.dim), fftn_norm(prev.u.values, grid.dim))
     d_hat, u_hat = (fftn_norm(f.values, grid.dim) for f in iterate)
-    r_d, r_u = ws.residual_fields(d_hat, u_hat, ws.terms(d_hat, u_hat))
+    _, r_d, r_u = ws.terms(d_hat, u_hat)
     step = ws.join(*ws.precondition_vec(ws.join(r_d, r_u)))
     d_out, u_out = ws.split(ws.join(d_hat, u_hat) - step)
     return (VectorField(grid, ifftn_norm(d_out, grid.dim)),
@@ -408,7 +408,7 @@ def test_convection_divergence_form_equals_advective_form(dim, n, mode):
 @pytest.mark.parametrize("mode", ["exact", "two_thirds"])
 def test_jacobian_action_is_derivative_of_residual(dim, n, mode):
     """jacobian_action along a retained direction matches the 4-point central
-    difference of residual_fields, whose truncation error is O(h^4)."""
+    difference of the residual, whose truncation error is O(h^4)."""
     grid = GridSpec(dim, n, mode)
     prev = StepState(perturbed_director(grid, seed=84, amplitude=0.3),
                      solenoidal(grid, seed=85, kcut=2, scale=0.3))
@@ -421,10 +421,10 @@ def test_jacobian_action_is_derivative_of_residual(dim, n, mode):
 
     def residual(y):
         d_hat, u_hat = ws.split(y)
-        return ws.join(*ws.residual_fields(d_hat, u_hat, ws.terms(d_hat, u_hat)))
+        return ws.join(*ws.terms(d_hat, u_hat)[1:])
 
     d_hat, u_hat = ws.split(x)
-    action = ws.join(*ws.jacobian_action(ws.terms(d_hat, u_hat), *ws.split(delta)))
+    action = ws.join(*ws.jacobian_action(ws.terms(d_hat, u_hat)[0], *ws.split(delta)))
     h = 1e-3
     central = (8.0 * (residual(x + h * delta) - residual(x - h * delta))
                - (residual(x + 2 * h * delta) - residual(x - 2 * h * delta))) / (12.0 * h)
@@ -525,7 +525,7 @@ def test_padded_component_counts(monkeypatch, dim, mode, counts):
     params = ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3)
     ws = _Workspace(grid, params, params.tau, prev.d.coeffs, prev.u.coeffs)
     seen = _padded_components(monkeypatch)
-    t = ws.terms(prev.d.coeffs, prev.u.coeffs)
+    t = ws.terms(prev.d.coeffs, prev.u.coeffs)[0]
     assert seen == counts
     seen.clear()
     ws.jacobian_action(t, prev.d.coeffs, prev.u.coeffs)
@@ -535,15 +535,17 @@ def test_padded_component_counts(monkeypatch, dim, mode, counts):
 def test_one_set_of_padded_terms_alive(monkeypatch):
     """Whenever a residual evaluation builds its padded terms, no other set is
     alive: the iterate's go once its Newton direction is built, a rejected
-    trial's once it is rejected, an overflowing start's at once.  _Terms
-    compares by value, so it is unhashable and is tracked by call number."""
+    trial's once it is rejected, an overflowing start's at once.  The
+    returned tuple cannot be weakly referenced, so its elements (the terms and
+    the residual pair) are tracked, by call number and position."""
     alive, crowd, passes = weakref.WeakValueDictionary(), [], []
     real_terms, real_gmres = _Workspace.terms, stepper._gmres
 
     def spy(self, d_hat, u_hat):
         crowd.append(len(alive))
-        t = alive[len(crowd)] = real_terms(self, d_hat, u_hat)
-        return t
+        out = real_terms(self, d_hat, u_hat)
+        alive.update(((len(crowd), i), a) for i, a in enumerate(out))
+        return out
 
     def counted_gmres(*args, **kwargs):
         passes.append(1)
@@ -569,8 +571,8 @@ def test_newton_pass_releases_dead_arrays(monkeypatch):
     right-hand side holds their values."""
     solutions, fields = [], []  # weakrefs
     at_solve, at_action = [], []
-    real_gmres, real_fields, real_action = (
-        stepper._gmres, _Workspace.residual_fields, _Workspace.jacobian_action)
+    real_gmres, real_terms, real_action = (
+        stepper._gmres, _Workspace.terms, _Workspace.jacobian_action)
 
     def spy_gmres(*args, **kwargs):
         at_solve.append(solutions[-1]() is not None if solutions else False)
@@ -578,17 +580,17 @@ def test_newton_pass_releases_dead_arrays(monkeypatch):
         solutions.append(weakref.ref(y))
         return y
 
-    def spy_fields(self, *args):
-        r_d, r_u = real_fields(self, *args)
-        fields.extend((weakref.ref(r_d), weakref.ref(r_u)))
-        return r_d, r_u
+    def spy_terms(self, *args):
+        out = real_terms(self, *args)
+        fields.extend(weakref.ref(r) for r in out[1:])
+        return out
 
     def spy_action(self, *args):
         at_action.append(sum(ref() is not None for ref in fields))
         return real_action(self, *args)
 
     monkeypatch.setattr(stepper, "_gmres", spy_gmres)
-    monkeypatch.setattr(_Workspace, "residual_fields", spy_fields)
+    monkeypatch.setattr(_Workspace, "terms", spy_terms)
     monkeypatch.setattr(_Workspace, "jacobian_action", spy_action)
     with refcounting_only():
         result = implicit_step(_warm_start_level(),
@@ -602,20 +604,28 @@ def test_newton_pass_releases_dead_arrays(monkeypatch):
 
 def test_jacobian_actions_find_no_transport_or_conv(monkeypatch):
     """transport and conv enter the residual only: during each Jacobian
-    action none of them, from any residual evaluation, is alive."""
+    action none of them, from any residual evaluation, is alive (nor the
+    directional ones of an earlier action)."""
     refs, at_action = [], []  # weakrefs; live ones at each action
-    real_terms, real_action = _Workspace.terms, _Workspace.jacobian_action
+    real_transport, real_conv, real_action = (
+        stepper.director_transport_hat, stepper.convective_hat, _Workspace.jacobian_action)
 
-    def spy_terms(self, *args):
-        t = real_terms(self, *args)
-        refs.extend((weakref.ref(t.transport), weakref.ref(t.conv)))
-        return t
+    def spy_transport(*args, **kwargs):
+        out = real_transport(*args, **kwargs)
+        refs.append(weakref.ref(out))
+        return out
+
+    def spy_conv(*args):
+        out = real_conv(*args)
+        refs.append(weakref.ref(out))
+        return out
 
     def spy_action(self, *args):
         at_action.append(sum(ref() is not None for ref in refs))
         return real_action(self, *args)
 
-    monkeypatch.setattr(_Workspace, "terms", spy_terms)
+    monkeypatch.setattr(stepper, "director_transport_hat", spy_transport)
+    monkeypatch.setattr(stepper, "convective_hat", spy_conv)
     monkeypatch.setattr(_Workspace, "jacobian_action", spy_action)
     with refcounting_only():
         implicit_step(_warm_start_level(), ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3),
@@ -645,7 +655,7 @@ def test_one_direction_bundle_alive_at_a_time(monkeypatch, dim, n, mode):
     """A Jacobian action pads the bundles of delta_d, delta_mu and delta_w in
     turn, and when it pads one, the ones it padded before are gone."""
     ws, d_hat, u_hat = _action_state(GridSpec(dim, n, mode))
-    t = ws.terms(d_hat, u_hat)
+    t = ws.terms(d_hat, u_hat)[0]
     padded, alive = [], []  # weakrefs of this action's bundles; live ones at each padding
     real_bundle = stepper.padded_bundle
 
@@ -685,7 +695,7 @@ def test_jacobian_action_equals_two_pair_formula(dim, n, mode):
     """Adding the second pair of each product into the padded samples of the
     first gives the action of summing both pairs, bit for bit."""
     ws, d_hat, u_hat = _action_state(GridSpec(dim, n, mode))
-    t = ws.terms(d_hat, u_hat)
+    t = ws.terms(d_hat, u_hat)[0]
     for seed in (95, 97):
         direction = _direction(ws.grid, seed)
         got, want = ws.jacobian_action(t, *direction), _two_pair_action(ws, t, *direction)
