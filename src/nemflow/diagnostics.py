@@ -117,9 +117,9 @@ def check_energy_inequality(ledger: EnergyLedger, budget: float) -> bool:
     return ledger.slack >= -budget
 
 
-def director_length_stats(d: VectorField) -> LengthStats:
-    """Pointwise |d| statistics: (min, max)."""
-    length = np.sqrt(np.sum(d.values * d.values, axis=0))
+def director_length_stats(d: np.ndarray) -> LengthStats:
+    """Pointwise |d| statistics of director samples (dim, n, ..., n): (min, max)."""
+    length = np.sqrt(np.sum(d * d, axis=0))
     return LengthStats(float(np.min(length)), float(np.max(length)))
 
 

@@ -116,11 +116,13 @@ def total_energy_hat(
 
 
 def chemical_potential(d: VectorField, d_prev: VectorField, params: ModelParams) -> VectorField:
-    """Discrete first variation mu = P_k[-lap d + f_plus(d) + f_minus(d_prev)]."""
+    """Discrete first variation mu = P_k[-lap d + f_plus(d) + f_minus(d_prev)];
+    no program path calls it, benchmarks/ traces it (ROADMAP items 3 and 7)."""
     mu = chemical_potential_hat(d.coeffs, d_prev.coeffs, d.grid, params.gamma)
     return VectorField.from_coefficients(d.grid, mu)
 
 
 def total_energy(d: VectorField, u: VectorField, params: ModelParams) -> EnergyBreakdown:
-    """Elastic + well + kinetic energy of a state (unit volume)."""
+    """Elastic + well + kinetic energy of a state (unit volume); no program
+    path calls it, benchmarks/ traces it (ROADMAP items 3 and 7)."""
     return total_energy_hat(d.coeffs, u.coeffs, params, d.grid)

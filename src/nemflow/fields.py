@@ -12,16 +12,16 @@ retained trigonometric space excludes the Nyquist slots (|k_j| = n/2):
 derivatives of the unpaired Nyquist mode are ill-defined on an even grid, so
 projections zero it and differential operators ignore it.
 
-A VectorField holds the representation it was built from, samples or
-half-layout coefficients, and makes the other on first read.  The solver
-builds its levels, mu and v from coefficients: samples are synthesised only
-where snapshots and pointwise statistics read them.
+A VectorField is its half-layout coefficients and holds nothing else.  The
+solver builds every level from coefficients; the run loop synthesises the
+samples that snapshots and the length statistics read with ifftn_norm, for
+one step only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,17 +103,25 @@ def laplace_symbol(grid: GridSpec) -> np.ndarray:
     return _freeze(4.0 * np.pi**2 * np.sum(k * k, axis=0))
 
 
-class VectorField:
-    """A field on the grid: values (components, n, ..., n), coeffs
-    (components, n, ..., n, n//2 + 1); a scalar field has components == 1.
+def _checked(grid: GridSpec, name: str, a: np.ndarray, spatial: tuple[int, ...]) -> np.ndarray:
+    if a.ndim != 1 + grid.dim or a.shape[1:] != spatial:
+        raise ValueError(f"VectorField {name} shape {a.shape} does not match {spatial}")
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteError(f"VectorField {name} are not all finite")
+    return a
 
-    It holds the real samples or the half-layout coefficients it was built
-    from; the other representation is made on first read and cached.  Both
-    arrays are read-only, so fields can be shared.
-    """
+
+class VectorField:
+    """A field on the grid, held as its read-only half-layout coefficients
+    coeffs (components, n, ..., n, n//2 + 1), so fields can be shared; a
+    scalar field has components == 1."""
 
     def __init__(self, grid: GridSpec, values: np.ndarray):
-        self._hold(grid, "values", np.asarray(values, dtype=np.float64), grid.shape)
+        """The field of real samples (components, n, ..., n), checked and
+        transformed once.  No program path calls this; benchmarks/ builds
+        fields from snapshot samples (ROADMAP items 3 and 7)."""
+        values = _checked(grid, "values", np.asarray(values, dtype=np.float64), grid.shape)
+        self._hold(grid, fftn_norm(values, grid.dim))
 
     @classmethod
     def from_coefficients(cls, grid: GridSpec, coeffs: np.ndarray):
@@ -121,33 +129,20 @@ class VectorField:
         and keeps."""
         field = cls.__new__(cls)
         half = grid.shape[:-1] + (grid.n // 2 + 1,)
-        field._hold(grid, "coeffs", np.asarray(coeffs, dtype=np.complex128), half)
+        field._hold(grid, _checked(grid, "coeffs", np.asarray(coeffs, dtype=np.complex128), half))
         return field
 
-    @staticmethod
-    def zeros(grid: GridSpec, components: int) -> "VectorField":
-        return VectorField(grid, np.zeros((components, *grid.shape)))
-
-    def _hold(self, grid: GridSpec, name: str, a: np.ndarray, spatial: tuple[int, ...]) -> None:
-        if a.ndim != 1 + grid.dim or a.shape[1:] != spatial:
-            raise ValueError(f"{type(self).__name__} {name} shape {a.shape} does not match {spatial}")
-        if not np.all(np.isfinite(a)):
-            raise NonFiniteError(f"{type(self).__name__} {name} are not all finite")
-        # the instance dict shadows the cached property of the same name
-        vars(self).update(grid=grid, components=a.shape[0], **{name: _freeze(a)})
+    def _hold(self, grid: GridSpec, coeffs: np.ndarray) -> None:
+        vars(self).update(grid=grid, components=coeffs.shape[0], coeffs=_freeze(coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    # fftn_norm/ifftn_norm are looked up at call time, so wrapping the module
-    # globals sees every transform
-    @cached_property
+    @property
     def values(self) -> np.ndarray:
-        return _freeze(ifftn_norm(self.coeffs, self.grid.dim))
-
-    @cached_property
-    def coeffs(self) -> np.ndarray:
-        return _freeze(fftn_norm(self.values, self.grid.dim))
+        """Samples, synthesised on each read; no program path reads them,
+        benchmarks/ does (ROADMAP items 3 and 7)."""
+        return ifftn_norm(self.coeffs, self.grid.dim)
 
 
 def fftn_norm(values: np.ndarray, dim: int) -> np.ndarray:

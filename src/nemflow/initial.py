@@ -68,17 +68,13 @@ def initial_condition(kind: str, grid: GridSpec, seed: int, amplitude: float) ->
             pert = _band_limited_noise(rng, grid, grid.dim, _PERTURBATION_KCUT)
             d += amplitude * pert / _max_pointwise_norm(pert)
         u = _random_flow(rng, grid, _PERTURBATION_KCUT, amplitude)
-        return StepState(VectorField(grid, d), VectorField(grid, u), time=0.0)
-
-    if kind == "random_smooth":
+    elif kind == "random_smooth":
         d = _band_limited_noise(rng, grid, grid.dim, _PERTURBATION_KCUT + 1)
         rms = float(np.sqrt(np.mean(np.sum(d * d, axis=0))))
         if rms > 0.0:
             d = d / rms
         u = _random_flow(rng, grid, _PERTURBATION_KCUT + 1, amplitude)
-        return StepState(VectorField(grid, d), VectorField(grid, u), time=0.0)
-
-    if kind == "defect_pair":
+    elif kind == "defect_pair":
         if grid.dim != 2:
             raise ValueError("defect_pair initial condition requires dim = 2")
         x = grid.meshgrid()
@@ -96,6 +92,8 @@ def initial_condition(kind: str, grid: GridSpec, seed: int, amplitude: float) ->
         # sampled geometry: drop its Nyquist content, as _band_limited_noise does
         d = ifftn_norm(band_limit_hat(fftn_norm(d, 2), grid), 2)
         u = _random_flow(rng, grid, _PERTURBATION_KCUT, amplitude)
-        return StepState(VectorField(grid, d), VectorField(grid, u), time=0.0)
-
-    raise ValueError(f"unknown initial condition kind {kind!r}")
+    else:
+        raise ValueError(f"unknown initial condition kind {kind!r}")
+    d_hat, u_hat = fftn_norm(d, grid.dim), fftn_norm(u, grid.dim)
+    return StepState(VectorField.from_coefficients(grid, d_hat),
+                     VectorField.from_coefficients(grid, u_hat), time=0.0)

@@ -16,7 +16,7 @@ from .config import RunConfig
 from .diagnostics import (check_energy_inequality, director_length_stats, h2_diagnostic,
                           spectral_divergence_max)
 from .energetics import total_energy_hat
-from .fields import NonFiniteError, VectorField, ifftn_norm
+from .fields import NonFiniteError, ifftn_norm
 from .initial import initial_condition
 from .operators import leray_hat
 from .snapshots import write_snapshot
@@ -81,9 +81,6 @@ def run_simulation(cfg: RunConfig) -> RunReport:
     """
     grid = cfg.grid
     state = initial_condition(cfg.ic.kind, grid, cfg.ic.seed, cfg.ic.amplitude)
-    # like every level the solver makes, the initial one holds coefficients only
-    state = replace(state, d=VectorField.from_coefficients(grid, state.d.coeffs),
-                    u=VectorField.from_coefficients(grid, state.u.coeffs))
     e0 = total_energy_hat(state.d.coeffs, state.u.coeffs, cfg.params, grid).total
     budget = 10.0 * cfg.picard.tol * (1.0 + e0)
 
@@ -121,9 +118,7 @@ def run_simulation(cfg: RunConfig) -> RunReport:
                 step += 1
                 prev_state = state
                 state = result.state
-                # samples for this step only, never cached on the level, which
-                # becomes the next step's prev
-                d = VectorField(grid, ifftn_norm(state.d.coeffs, grid.dim))
+                d = ifftn_norm(state.d.coeffs, grid.dim)
                 stats = director_length_stats(d)
                 div_u = spectral_divergence_max(state.u)
                 h2 = h2_diagnostic(state.d.coeffs, grid)
@@ -131,10 +126,10 @@ def run_simulation(cfg: RunConfig) -> RunReport:
                 if not check_energy_inequality(result.ledger, budget):
                     checks_ok = False
                 if cfg.output.snapshot_every > 0 and step % cfg.output.snapshot_every == 0:
-                    fields = {"d": d.values, "u": ifftn_norm(state.u.coeffs, grid.dim)}
+                    fields = {"d": d, "u": ifftn_norm(state.u.coeffs, grid.dim)}
                     if cfg.output.full_state:
-                        fields["mu"] = ifftn_norm(result.mu.coeffs, grid.dim)
-                        fields["v"] = ifftn_norm(result.v_extra.coeffs, grid.dim)
+                        fields["mu"] = ifftn_norm(result.mu_hat, grid.dim)
+                        fields["v"] = ifftn_norm(result.v_hat, grid.dim)
                     snap_path = snap_dir / f"snap_{step:06d}.nemf"
                     write_snapshot(snap_path, grid.shape, fields)
                     snapshots.append(snap_path)

@@ -41,7 +41,8 @@ def write_snapshot(path: str | Path, shape: tuple[int, ...],
     """Write named sample arrays of shape (components, *shape).
 
     The bytes go to a temporary file beside path that is then renamed into
-    place, so an interrupted writer never leaves a partial snapshot at path.
+    place, so an interrupted writer never leaves a partial snapshot at path;
+    a failed write removes the temporary file and re-raises.
     """
     dim = len(shape)
     chunks = [MAGIC, struct.pack("<I", dim)]
@@ -57,10 +58,14 @@ def write_snapshot(path: str | Path, shape: tuple[int, ...],
             raise ValueError(f"field {name!r} shape {values.shape} does not match {shape}")
         chunks.append(np.ascontiguousarray(values, dtype="<f8"))
     tmp = Path(f"{path}.tmp")
-    with open(tmp, "wb") as out:
-        for chunk in chunks:  # an array is written from its own buffer, row-major
-            out.write(chunk)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as out:
+            for chunk in chunks:  # an array is written from its own buffer, row-major
+                out.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Cursor:

@@ -65,10 +65,8 @@ class PicardDivergenceError(RuntimeError):
 class StepState:
     """One time level (d, u); u is solenoidal with zero mean.
 
-    The stepper, the ledger and the runner's diagnostics read the fields'
-    coefficients (d.coeffs, u.coeffs); a level the solver makes holds only
-    those, and its samples are synthesised when snapshots or the length
-    statistics read them.
+    Its fields are their coefficients (d.coeffs, u.coeffs), which the
+    stepper, the ledger and the runner's diagnostics read.
     """
 
     d: VectorField
@@ -124,8 +122,8 @@ class PicardConfig:
 @dataclass(frozen=True)
 class StepResult:
     state: StepState
-    mu: VectorField
-    v_extra: VectorField
+    mu_hat: np.ndarray  # the solver's chemical potential and extra velocity,
+    v_hat: np.ndarray   # half-layout coefficients
     ledger: EnergyLedger
     tau_used: float
 
@@ -491,11 +489,11 @@ def implicit_step(
 
     done = attempts[-1]
     d_hat, u_hat, t = done.solution
-    d, u, mu, v_extra = (VectorField.from_coefficients(grid, c) for c in (d_hat, u_hat, t.mu, t.v))
+    d, u = (VectorField.from_coefficients(grid, c) for c in (d_hat, u_hat))
     state = StepState(d, u, prev.time + done.tau)
     ledger = build_ledger(prev, state, t.mu, t.v, replace(params, tau=done.tau),
                           picard_iters=done.evals, picard_residual=done.residual)
-    return StepResult(state, mu, v_extra, ledger, done.tau)
+    return StepResult(state, t.mu, t.v, ledger, done.tau)
 
 
 def residual_fully_implicit(

@@ -31,9 +31,11 @@ from util import (
     band_limited,
     l2_inner,
     l2_norm,
+    mu_field,
     perturbed_director,
     solenoidal,
     transport_only_run,
+    zero_field,
 )
 
 
@@ -119,7 +121,7 @@ def test_criterion_3_length_mechanism():
     d0 = VectorField(grid32, np.stack([np.cos(phi), np.sin(phi)]))
     w = solenoidal(grid32, seed=5, kcut=2, scale=0.5)
     final = transport_only_run(d0, w, alpha=0.5, tau=1e-4, steps=100)
-    stats = director_length_stats(final)
+    stats = director_length_stats(final.values)
     drift = max(1.0 - stats.min, stats.max - 1.0)
     ok = pairing_ok and drift <= 1e-6
     _report(f"3 alpha=1/2 length mechanism (drift {drift:.2e})", ok)
@@ -171,7 +173,7 @@ def test_criterion_4_oracle_equivalence(dim, n):
         solenoidal(grid, seed=601, kcut=kcut, scale=0.2),
     )
     result = implicit_step(prev, params, PicardConfig(tol=1e-11))
-    cand = (result.state.d, result.state.u, result.mu)
+    cand = (result.state.d, result.state.u, mu_field(result))
     prod = residual_fully_implicit(prev, cand, params)
     dense = oracle.dense_scheme_residual(prev.d, prev.u, cand, params)
     resid_err = max(abs(a - b) for a, b in zip(prod, dense))
@@ -191,7 +193,7 @@ def test_criterion_4_oracle_equivalence(dim, n):
 def test_criterion_5_implicit_system_certification(long_run):
     residuals = [r for prev, result in long_run.steps
                  for r in residual_fully_implicit(
-                     prev, (result.state.d, result.state.u, result.mu), long_run.params)]
+                     prev, (result.state.d, result.state.u, mu_field(result)), long_run.params)]
     worst = np.max(residuals)  # nan if any residual is nan
     ok = all(r <= 2.0 * long_run.tol for r in residuals)
     _report(f"5 implicit-system certification (max residual {worst:.2e})", ok)
@@ -202,7 +204,7 @@ def test_criterion_6_variational_consistency():
     grid = GridSpec(2, 16, "exact")
     params = ModelParams(gamma=0.1)
     d = perturbed_director(grid, seed=77, amplitude=0.3, kcut=3)
-    zero_u = VectorField.zeros(grid, 2)
+    zero_u = zero_field(grid, 2)
 
     def internal(values):
         return total_energy(VectorField(grid, values), zero_u, params).total

@@ -8,7 +8,7 @@ from nemflow.fields import GridSpec, VectorField, ifftn_norm
 from nemflow.operators import grad_hat, padded_bundle, padded_size, to_padded
 import oracle
 from util import (band_limited, l2_inner, perturbed_director, solenoidal, whole_convective,
-                  whole_extra_velocity, whole_transport)
+                  whole_extra_velocity, whole_transport, zero_field)
 
 
 def product(hat, a, b, alpha):
@@ -81,7 +81,7 @@ def test_extra_velocity_matches_dense_oracle(grid):
 
 def test_director_transport_zero_velocity(grid):
     d = band_limited(grid, 2, seed=43)
-    t = product(director_transport_hat, d, VectorField.zeros(grid, 2), alpha=0.4)
+    t = product(director_transport_hat, d, zero_field(grid, 2), alpha=0.4)
     assert np.max(np.abs(t.values)) == 0.0
 
 

@@ -14,7 +14,7 @@ from nemflow.fields import GridSpec, VectorField, fftn_norm, ifftn_norm
 from nemflow.operators import grad_hat
 from nemflow.stepper import StepState
 import oracle
-from util import band_limited, l2_inner, perturbed_director, solenoidal
+from util import band_limited, l2_inner, perturbed_director, solenoidal, zero_field
 
 
 def test_model_params_validation():
@@ -113,10 +113,10 @@ def test_total_energy_examples(grid):
     params = ModelParams(gamma=1.0)
     unit = np.zeros((2, 8, 8))
     unit[0] = 1.0
-    ground = total_energy(VectorField(grid, unit), VectorField.zeros(grid, 2), params)
+    ground = total_energy(VectorField(grid, unit), zero_field(grid, 2), params)
     assert ground.total < 1e-14
 
-    zero_d = total_energy(VectorField.zeros(grid, 2), VectorField.zeros(grid, 2), params)
+    zero_d = total_energy(zero_field(grid, 2), zero_field(grid, 2), params)
     assert zero_d.total == pytest.approx(0.25, abs=1e-14)
     assert zero_d.well == pytest.approx(0.25, abs=1e-14)
 
@@ -128,7 +128,7 @@ def test_total_energy_sine_elastic_leading_term():
     a = 1e-3
     d = np.zeros((2, 64, 64))
     d[0] = 1.0 + a * np.sin(2 * np.pi * x[0])
-    eb = total_energy(VectorField(grid, d), VectorField.zeros(grid, 2), params)
+    eb = total_energy(VectorField(grid, d), zero_field(grid, 2), params)
     # elastic part is exactly a^2 pi^2; the well adds only O(a^2/gamma) terms
     assert eb.elastic == pytest.approx(a**2 * np.pi**2, rel=1e-12)
 
@@ -146,7 +146,7 @@ def test_dissipation_rate_examples(grid):
     """The ledger's dissipation channels (tau times the rate) on constant
     fields: none at rest, tau |v|^2 of friction for a uniform extra velocity."""
     params = ModelParams(eta=0.7, tau=1e-3)
-    zero = VectorField.zeros(grid, 2)
+    zero = zero_field(grid, 2)
     rest = StepState(zero, zero)
     zero_hat = rest.d.coeffs
     led = build_ledger(rest, rest, zero_hat, zero_hat, params, picard_iters=0, picard_residual=0.0)
@@ -166,7 +166,7 @@ def test_dissipation_rate_matches_quadrature(grid):
     params = ModelParams(eta=1.3, tau=1e-3)
     u = solenoidal(grid, seed=11)
     v = band_limited(grid, 2, seed=12)
-    zero = VectorField.zeros(grid, 2)
+    zero = zero_field(grid, 2)
     led = build_ledger(StepState(zero, zero), StepState(zero, u), StepState(zero, zero).d.coeffs,
                        fftn_norm(v.values, grid.dim), params, picard_iters=0, picard_residual=0.0)
 
@@ -210,7 +210,7 @@ def test_chemical_potential_is_energy_gradient():
     grid = GridSpec(2, 16, "exact")
     params = ModelParams(gamma=0.1)
     d = perturbed_director(grid, seed=31, amplitude=0.3, kcut=3)
-    zero_u = VectorField.zeros(grid, 2)
+    zero_u = zero_field(grid, 2)
 
     def internal(values):
         return total_energy(VectorField(grid, values), zero_u, params).total

@@ -19,7 +19,7 @@ def test_uniform_perturbed_length_band():
     grid = GridSpec(2, 16, "exact")
     amplitude = 0.23
     state = initial_condition("uniform_perturbed", grid, seed=5, amplitude=amplitude)
-    stats = director_length_stats(state.d)
+    stats = director_length_stats(state.d.values)
     assert stats.min >= 1.0 - amplitude - 1e-12
     assert stats.max <= 1.0 + amplitude + 1e-12
 
@@ -56,7 +56,7 @@ def test_defect_pair_rejected_in_3d():
 def test_defect_pair_structure():
     grid = GridSpec(2, 32, "exact")
     state = initial_condition("defect_pair", grid, seed=1, amplitude=0.0)
-    stats = director_length_stats(state.d)
+    stats = director_length_stats(state.d.values)
     assert stats.max <= 1.0 + 1e-12      # envelope never exceeds unit length
     assert stats.min < 0.7               # cores are melted
     assert np.max(np.abs(state.u.values)) == 0.0

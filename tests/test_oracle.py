@@ -6,7 +6,7 @@ from nemflow.fields import GridSpec, VectorField, ifftn_norm
 from nemflow.operators import grad_hat
 from nemflow.stepper import PicardConfig, StepState, implicit_step, residual_fully_implicit
 import oracle
-from util import band_limited, perturbed_director, solenoidal
+from util import band_limited, mu_field, perturbed_director, solenoidal, zero_field
 
 
 def test_laplacian_matrix_symmetric():
@@ -34,8 +34,8 @@ def test_resolution_guard():
         oracle.dense_operator_matrix(GridSpec(3, 8), "laplacian")
     with pytest.raises(ValueError, match="too large"):
         oracle.quadrature_energy(
-            VectorField.zeros(GridSpec(2, 32), 2),
-            VectorField.zeros(GridSpec(2, 32), 2),
+            zero_field(GridSpec(2, 32), 2),
+            zero_field(GridSpec(2, 32), 2),
             ModelParams(),
         )
 
@@ -44,7 +44,7 @@ def test_quadrature_energy_ground_state():
     grid = GridSpec(2, 8, "exact")
     unit = np.zeros((2, 8, 8))
     unit[0] = 1.0
-    eb = oracle.quadrature_energy(VectorField(grid, unit), VectorField.zeros(grid, 2),
+    eb = oracle.quadrature_energy(VectorField(grid, unit), zero_field(grid, 2),
                                   ModelParams(gamma=0.3))
     assert eb.total < 1e-13
 
@@ -78,10 +78,10 @@ def test_scheme_residual_zero_at_equilibrium():
     grid = GridSpec(2, 8, "exact")
     unit = np.zeros((2, 8, 8))
     unit[0] = 1.0
-    state = StepState(VectorField(grid, unit), VectorField.zeros(grid, 2))
+    state = StepState(VectorField(grid, unit), zero_field(grid, 2))
     params = ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3)
     residuals = oracle.dense_scheme_residual(
-        state.d, state.u, (state.d, state.u, VectorField.zeros(grid, 2)), params
+        state.d, state.u, (state.d, state.u, zero_field(grid, 2)), params
     )
     assert all(r < 1e-12 for r in residuals), residuals
 
@@ -97,7 +97,7 @@ def test_scheme_residual_two_path_agreement(dim, n):
     params = ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3)
     result = implicit_step(prev, params, PicardConfig(tol=1e-11))
     assert result.tau_used == params.tau
-    cand = (result.state.d, result.state.u, result.mu)
+    cand = (result.state.d, result.state.u, mu_field(result))
     prod = residual_fully_implicit(prev, cand, params)
     dense = oracle.dense_scheme_residual(prev.d, prev.u, cand, params)
     for a, b in zip(prod, dense):
@@ -105,7 +105,7 @@ def test_scheme_residual_two_path_agreement(dim, n):
     assert max(dense) <= 2.0 * 1e-11
 
     # a generic (non-converged) candidate also agrees across the two paths
-    rough = (prev.d, prev.u, result.mu)
+    rough = (prev.d, prev.u, mu_field(result))
     prod_r = residual_fully_implicit(prev, rough, params)
     dense_r = oracle.dense_scheme_residual(prev.d, prev.u, rough, params)
     for a, b in zip(prod_r, dense_r):

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import os
 import re
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nemflow import runner, snapshots
+from nemflow import fields, runner, snapshots
 from nemflow.cli import main as cli_main
 from nemflow.config import parse_config
 from nemflow.diagnostics import EnergyLedger
@@ -247,46 +248,101 @@ def test_outputs_are_durable_while_running(tmp_path, monkeypatch):
 
 def test_step_holds_no_earlier_level_or_result(tmp_path, monkeypatch):
     """While the runner's implicit_step runs, the previous step's result, its
-    mu and v_extra and the snapshot samples of both, and every level before
-    the one being stepped from, are gone."""
+    mu_hat and v_hat, the previous snapshot's sample arrays, and every level
+    before the one being stepped from, are gone."""
     cfg = parse_config(_config_text(tmp_path, t_end=4e-3, **{
         "output.snapshot_every": 1, "output.full_state": "true"}))
-    real_step = runner.implicit_step
+    real_step, real_write = runner.implicit_step, runner.write_snapshot
     stale, alive = [], []  # weakrefs of what a later step must not find
 
     def spy(prev, *args, **kwargs):
         alive.append([ref() is not None for ref in stale])
         stale.append(weakref.ref(prev))
         result = real_step(prev, *args, **kwargs)
-        stale.extend(weakref.ref(obj) for obj in (
-            result, result.mu, result.v_extra, result.mu.values, result.v_extra.values))
+        stale.extend(weakref.ref(obj) for obj in (result, result.mu_hat, result.v_hat))
         return result
 
+    def write_spy(path, shape, fields):
+        stale.extend(weakref.ref(samples) for samples in fields.values())
+        real_write(path, shape, fields)
+
     monkeypatch.setattr(runner, "implicit_step", spy)
+    monkeypatch.setattr(runner, "write_snapshot", write_spy)
     with refcounting_only():
         report = run_simulation(cfg)
     assert report.status == 0 and report.steps == 4
-    assert [len(a) for a in alive] == [0, 6, 12, 18]
+    assert [len(a) for a in alive] == [0, 8, 16, 24]
     assert not any(any(a) for a in alive), alive
 
 
-def test_levels_hold_no_samples(tmp_path, monkeypatch):
-    """Every level the runner passes to implicit_step as prev, the initial one
-    included, holds coefficients only: the length statistics and the
-    snapshots of the step before used samples that no level keeps."""
-    cfg = parse_config(_config_text(tmp_path, t_end=4e-3, **{
-        "output.snapshot_every": 1, "output.full_state": "true"}))
-    real_step = runner.implicit_step
-    held = []
+@pytest.mark.parametrize("snapshots_on,inverse", [(False, 7), (True, 19)])
+def test_run_loop_transform_counts(tmp_path, monkeypatch, snapshots_on, inverse):
+    """A 4-step 2D n=16 run with default physics makes 5 forward transforms,
+    all while building the initial level, and 7 inverse ones: 3 in the
+    initial condition and one per step for the length statistics.
+    Full-state snapshots every step add the samples of u, mu and v: 3 more
+    inverse transforms per step, and no forward one."""
+    text = ("dim = 2\nn = 16\ntau = 1e-3\nt_end = 4e-3\n"
+            f"output.trace_path = {tmp_path / 'trace.csv'}\n"
+            f"output.snapshot_dir = {tmp_path / 'snaps'}\n")
+    if snapshots_on:
+        text += "output.snapshot_every = 1\noutput.full_state = true\n"
+    cfg = parse_config(text)
+    calls = {"fftn_norm": 0, "ifftn_norm": 0}
+    modules = [m for name, m in sys.modules.items() if name.partition(".")[0] == "nemflow"]
+    for name in calls:
+        real = getattr(fields, name)
 
-    def spy(prev, *args, **kwargs):
-        held.append([name for name in ("d", "u") if "values" in vars(getattr(prev, name))])
-        return real_step(prev, *args, **kwargs)
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
 
-    monkeypatch.setattr(runner, "implicit_step", spy)
+        for module in modules:  # every nemflow module's name for the transform
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
     report = run_simulation(cfg)
     assert report.status == 0 and report.steps == 4
-    assert held == [[]] * 4, held
+    assert calls == {"fftn_norm": 5, "ifftn_norm": inverse}
+
+
+def test_failed_snapshot_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    """A snapshot write that fails midway (a full disk) ends the run with
+    exit 4, removes its temporary file, and leaves the earlier snapshot as it
+    was written."""
+    reference = run_simulation(parse_config(_config_text(
+        tmp_path / "ref", t_end=1e-3, **{"output.snapshot_every": 1})))
+    assert reference.status == 0
+    real_open = open
+
+    class FullDisk:
+        """A file whose second write raises ENOSPC, after the first is on disk."""
+
+        def __init__(self, stream):
+            self.stream, self.writes = stream, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.stream.close()
+
+        def write(self, chunk):
+            if self.writes == 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            self.writes += 1
+            return self.stream.write(chunk)
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        stream = real_open(path, mode, *args, **kwargs)
+        return FullDisk(stream) if Path(path).name.startswith("snap_000002") else stream
+
+    monkeypatch.setattr(snapshots, "open", failing_open, raising=False)
+    report = run_simulation(parse_config(_config_text(tmp_path, **{"output.snapshot_every": 1})))
+    assert report.status == 4 and report.steps == 2
+    assert "No space left" in report.failure
+    assert sorted(p.name for p in (tmp_path / "snaps").iterdir()) == ["snap_000001.nemf"]
+    assert ((tmp_path / "snaps" / "snap_000001.nemf").read_bytes()
+            == reference.snapshot_paths[0].read_bytes())
 
 
 def test_snapshot_is_moved_into_place(tmp_path, monkeypatch):

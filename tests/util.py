@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite: deterministic band-limited fields, an
+"""Shared helpers for the test suite: deterministic band-limited fields, the
+zero field and a step's chemical potential as fields, an
 L2 quadrature from samples that is independent of the solver's Parseval sums,
 an explicit RK4 integrator for pure director transport, the coupling
 products on whole padded arrays, and a context in which only reference counts
@@ -15,6 +16,18 @@ from nemflow.coupling import director_transport_hat
 from nemflow.fields import (GridSpec, VectorField, fftn_norm, ifftn_norm, integer_wavevectors,
                             wavevectors)
 from nemflow.operators import from_padded, leray_hat, padded_bundle
+
+
+def zero_field(grid: GridSpec, components: int) -> VectorField:
+    """The zero field with the given number of components."""
+    half = grid.shape[:-1] + (grid.n // 2 + 1,)
+    return VectorField.from_coefficients(grid, np.zeros((components, *half), dtype=np.complex128))
+
+
+def mu_field(result) -> VectorField:
+    """The chemical potential of an accepted step (StepResult.mu_hat) as a
+    field."""
+    return VectorField.from_coefficients(result.state.grid, result.mu_hat)
 
 
 def band_limited(grid: GridSpec, components: int, seed: int, kcut: int | None = None,
