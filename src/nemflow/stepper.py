@@ -223,12 +223,12 @@ class _Workspace:
         beta = self.lap.reshape(-1)
         b = d_prev_hat[(slice(None),) + (0,) * dim].real  # mean director
         q = 2.0 * np.pi * wavevectors(grid).reshape(dim, -1)  # (dim, modes)
-        a = params.alpha * (b @ q)
+        a = params.alpha * np.sum(b[:, None] * q, axis=0)
         c = 1.0 - params.alpha
         bq = b[:, None, None] * q[None]                    # (b x q)_{ij} = b_i q_j
         qb = bq.transpose(1, 0, 2)                         # (q x b)_{ij} = q_i b_j
         qq = q[:, None] * q[None]
-        bnorm2 = float(b @ b)
+        bnorm2 = float(np.sum(b * b))
         well = (bnorm2 * eye + 2.0 * np.outer(b, b)) / params.gamma  # f_plus' frozen at b
         eye, well = eye[:, :, None], well[:, :, None]
 
@@ -335,10 +335,22 @@ def _gmres(matvec, b: np.ndarray, rel_tol: float, max_inner: int) -> np.ndarray:
     The operator is only real-linear, so under the Parseval-weighted L2 inner
     product (a numpy sum, not a BLAS call, so the result does not depend on
     the BLAS thread count) the Hessenberg matrix and its least squares are
-    real.  That least squares is re-solved densely each iteration on the
-    leading block of one preallocated Hessenberg array; with a couple dozen
-    inner iterations at most, that costs nothing next to the matvecs and
-    avoids rotation bookkeeping.
+    real.  Its QR factorisation is updated by Givens rotations (Saad &
+    Schultz, SISC 1986): each new column is rotated by the earlier rotations
+    and then by one new one, which zeroes its subdiagonal entry and rotates
+    the right-hand side |b| e1 alongside.  The least-squares residual is then
+    the magnitude of the last rotated entry, so the convergence test needs no
+    solve, and the coefficients come from one back substitution when the
+    solve stops.  A dense least-squares solve per iteration would call
+    LAPACK, whose pages (about 1 MiB) then stay resident for the rest of the
+    process; the rotations are a few scalar operations per column, and the
+    step path calls neither LAPACK nor BLAS.
+
+    A breakdown ends the solve: what is left of the operator's output after
+    orthogonalisation is below 1e-14 of the output's norm, which is that of
+    its Hessenberg column as the basis is orthonormal, so the test does not
+    depend on the scale of b.  An operator that overflows ends the solve at
+    the last finite column, with what the earlier columns solved.
 
     b is consumed: it is normalised in place and becomes the first basis
     vector, and each matvec result (a new array) is orthogonalised and
@@ -353,28 +365,41 @@ def _gmres(matvec, b: np.ndarray, rel_tol: float, max_inner: int) -> np.ndarray:
         return np.zeros_like(b)
     b /= norm_b
     basis = [b]
-    h = np.zeros((max_inner + 1, max_inner))
-    e1 = np.zeros(max_inner + 1)
-    e1[0] = norm_b
-    y = np.zeros(0)
+    r = np.zeros((max_inner + 1, max_inner))  # the Hessenberg columns, rotated
+    cs, sn = np.zeros(max_inner), np.zeros(max_inner)
+    g = np.zeros(max_inner + 1)  # the rotated right-hand side |b| e1
+    g[0] = norm_b
+    m = 0  # the columns solved for
     for k in range(max_inner):
         w = matvec(basis[k])
+        col = r[: k + 2, k]
         for i in range(k + 1):
-            h[i, k] = dot(basis[i], w)
-            w -= h[i, k] * basis[i]
-        h[k + 1, k] = np.sqrt(dot(w, w))
-        if not np.isfinite(h[k + 1, k]):
+            col[i] = dot(basis[i], w)
+            w -= col[i] * basis[i]
+        col[k + 1] = np.sqrt(dot(w, w))
+        if not np.isfinite(col[k + 1]):
             break  # the operator overflowed: keep the solution of the earlier columns
-        hk, ek = h[: k + 2, : k + 1], e1[: k + 2]
-        y, *_ = np.linalg.lstsq(hk, ek, rcond=None)
-        lucky = h[k + 1, k] <= 1e-14 * norm_b
+        lucky = col[k + 1] <= 1e-14 * np.hypot.reduce(col)
         if not lucky:
-            w /= h[k + 1, k]
+            w /= col[k + 1]
             basis.append(w)
-        if lucky or np.linalg.norm(hk @ y - ek) <= rel_tol * norm_b:
+        for i in range(k):
+            hi, hj = col[i], col[i + 1]
+            col[i], col[i + 1] = cs[i] * hi + sn[i] * hj, cs[i] * hj - sn[i] * hi
+        rho = np.hypot(col[k], col[k + 1])
+        if rho == 0.0:
+            break  # the column adds nothing to what the earlier ones solve
+        cs[k], sn[k] = col[k] / rho, col[k + 1] / rho
+        col[k], col[k + 1] = rho, 0.0
+        g[k], g[k + 1] = cs[k] * g[k], -sn[k] * g[k]
+        m = k + 1
+        if lucky or abs(g[k + 1]) <= rel_tol * norm_b:
             break
+    y = g[:m].copy()
+    for i in reversed(range(m)):
+        y[i] = (y[i] - np.sum(r[i, i + 1 : m] * y[i + 1 :])) / r[i, i]
     out = np.zeros_like(b)
-    for i in range(y.size):
+    for i in range(m):
         out += y[i] * basis[i]
     return out
 

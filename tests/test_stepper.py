@@ -1,6 +1,8 @@
+import ast
 import re
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -714,6 +716,146 @@ def test_gmres_builds_its_basis_in_place():
     assert abs(spectral_l2_norm(b) - 1.0) < 1e-14
     residual = 2.0 * x + 0.3 * np.roll(x, 1, axis=1) - rhs
     assert spectral_l2_norm(residual) <= 1e-10 * spectral_l2_norm(rhs)
+
+
+def _counted(op):
+    """op, and a list that grows by one at each call to it."""
+    calls = []
+
+    def matvec(y):
+        calls.append(len(calls))
+        return op(y)
+
+    return matvec, calls
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_gmres_breakdown_test_does_not_depend_on_the_scale_of_b(scale):
+    """A near-identity operator needs a second Krylov column to reach 1e-12
+    at every scale of the right-hand side.  Comparing the new direction with
+    |b| instead of the operator's output took a breakdown after one column at
+    scale 1e8, with a relative residual of 9e-7."""
+    rng = np.random.default_rng(11)
+    b = scale * (rng.standard_normal((2, 6, 4)) + 1j * rng.standard_normal((2, 6, 4)))
+    e = rng.standard_normal((2, 6, 4))
+
+    def op(y):
+        return y + 1e-6 * e * np.roll(y, 1, axis=1)
+
+    matvec, calls = _counted(op)
+    x = stepper._gmres(matvec, b.copy(), 1e-12, max_inner=24)
+    assert len(calls) == 2
+    assert spectral_l2_norm(op(x) - b) <= 1e-12 * spectral_l2_norm(b)
+
+
+def _dense_operator(seed):
+    """A dense real-linear operator on (2, 6, 4) half-layout coefficients,
+    I + 0.5 G / sqrt(192) on their real coordinates scaled to the Parseval
+    weights (so the Euclidean product there is _gmres's), and the maps to and
+    from those coordinates."""
+    shape, root_w = (2, 6, 4), np.sqrt([1.0, 2.0, 2.0, 1.0])
+
+    def to_z(y):
+        return np.concatenate([(root_w * y.real).ravel(), (root_w * y.imag).ravel()])
+
+    def from_z(z):
+        re, im = z.reshape(2, *shape)
+        return (re + 1j * im) / root_w
+
+    size = 2 * np.prod(shape)
+    rng = np.random.default_rng(seed)
+    mat = np.eye(size) + 0.5 * rng.standard_normal((size, size)) / np.sqrt(size)
+    b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return (lambda y: from_z(mat @ to_z(y))), b, mat, to_z, from_z
+
+
+def test_gmres_residual_estimate_is_the_true_residual():
+    """A dense operator that needs 19 Krylov columns for 1e-6: the solve stops
+    by its estimate with a true relative residual within rel_tol, and the
+    estimate agrees with that residual to 1e-10 -- with rel_tol just above it
+    the solve stops at the same column, just below it one column later."""
+    op, b, *_ = _dense_operator(3)
+    norm_b = spectral_l2_norm(b)
+
+    def columns(rel_tol):
+        matvec, calls = _counted(op)
+        x = stepper._gmres(matvec, b.copy(), rel_tol, max_inner=24)
+        return len(calls), spectral_l2_norm(op(x) - b) / norm_b
+
+    m, residual = columns(1e-6)
+    assert 15 <= m < 24 and residual <= 1e-6
+    assert columns(residual + 1e-10)[0] == m
+    assert columns(residual - 1e-10)[0] == m + 1
+
+
+def test_gmres_overflow_keeps_the_earlier_columns():
+    """An operator that returns inf on its third call: the solve stops there
+    and returns the minimal-residual solution over the first two columns,
+    span{b, A b}, as a dense least squares gives it."""
+    op, b, mat, to_z, from_z = _dense_operator(3)
+    matvec, calls = _counted(lambda y: np.full_like(y, np.inf) if len(calls) == 3 else op(y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = stepper._gmres(matvec, b.copy(), 1e-10, max_inner=24)
+    assert len(calls) == 3 and np.all(np.isfinite(x))
+    krylov = np.stack([to_z(b), mat @ to_z(b)], axis=1)
+    coef, *_ = np.linalg.lstsq(mat @ krylov, to_z(b), rcond=None)
+    want = from_z(krylov @ coef)
+    assert spectral_l2_norm(x - want) <= 1e-12 * spectral_l2_norm(want)
+
+
+def test_gmres_zero_right_hand_side_calls_no_operator():
+    """A zero right-hand side returns zeros of its shape and dtype at once."""
+    matvec, calls = _counted(lambda y: 2.0 * y)
+    b = np.zeros((2, 6, 4), complex)
+    x = stepper._gmres(matvec, b, 1e-10, max_inner=24)
+    assert not calls and x.shape == b.shape and x.dtype == b.dtype and not np.any(x)
+
+
+def test_gmres_operator_that_annihilates_b_returns_zeros():
+    """An operator that maps b to zero gives a zero Hessenberg column: the
+    solve ends there, with nothing solved and no division by zero."""
+    matvec, calls = _counted(lambda y: 0.0 * y)
+    b = np.random.default_rng(7).standard_normal((2, 6, 4)) + 0j
+    x = stepper._gmres(matvec, b, 1e-10, max_inner=24)
+    assert len(calls) == 1 and not np.any(x)
+
+
+def test_package_calls_neither_lapack_nor_blas():
+    """No module of the package has a matrix product (@) or names numpy's
+    linalg, dot, matmul, tensordot, inner or vdot, so the outputs cannot
+    depend on the BLAS build or its thread count, and no LAPACK code runs."""
+    banned = {"linalg", "dot", "matmul", "tensordot", "inner", "vdot"}
+    src = Path(stepper.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append((path.name, node.lineno, "@"))
+            elif isinstance(node, ast.Attribute) and node.attr in banned:
+                found.append((path.name, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                found += [(path.name, node.lineno, a.name) for a in node.names
+                          if a.name in banned or "linalg" in node.module]
+    assert not found
+
+
+def test_steps_call_no_numpy_linalg(monkeypatch):
+    """One 2D and one 3D step with every public callable of np.linalg
+    replaced by one that raises."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg called on the step path")
+
+    for name in dir(np.linalg):
+        public = getattr(np.linalg, name)
+        if not name.startswith("_") and callable(public) and not isinstance(public, type):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+    params = ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3)
+    grid = GridSpec(3, 8, "exact")
+    for prev in (_warm_start_level(),
+                 StepState(perturbed_director(grid, seed=61, amplitude=0.1),
+                           solenoidal(grid, seed=62, kcut=2, scale=0.1))):
+        assert implicit_step(prev, params, PicardConfig(tol=1e-12)).ledger.picard_iters > 1
 
 
 def test_warm_step_peak_in_padded_arrays():
