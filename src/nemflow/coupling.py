@@ -36,15 +36,10 @@ from collections.abc import Sequence
 import numpy as np
 
 from .fields import GridSpec, wavevectors
-from .operators import from_padded
+from .operators import from_padded, row_slices
 
 Bundle = tuple[np.ndarray, np.ndarray]  # (padded samples, padded gradient samples)
 Pair = tuple[Bundle, Bundle]
-
-# Padded samples per row block of a product, 32 KiB of float64 per component:
-# fewer make the per-block calls dominate, more bring back the page faults of
-# large temporaries without lowering the time per product
-_BLOCK_SIZE = 4096
 
 
 def _rows(x, r):
@@ -58,13 +53,10 @@ def _row_blocks(block, shape: tuple[int, ...], grid: GridSpec,
     axis are block(r), filled one block at a time, so a product's temporaries
     are the size of one block, not of the padded grid.  Given out, the blocks
     are added into it in place and out is returned."""
-    m = shape[-1]
     add = out is not None
     if not add:
         out = np.empty(shape)
-    step = max(1, _BLOCK_SIZE // m ** (grid.dim - 1))
-    for start in range(0, m, step):
-        r = (Ellipsis, slice(start, start + step)) + (slice(None),) * (grid.dim - 1)
+    for r in row_slices(shape[-1], grid.dim):
         if add:
             out[r] += block(r)
         else:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coupling import _row_blocks
 from .fields import GridSpec, VectorField, laplace_symbol, parseval_sum
 from .operators import band_limit_hat, from_padded, to_padded
 
@@ -65,14 +66,16 @@ class EnergyBreakdown:
 # coefficient-space building blocks shared with the stepper
 
 
-def f_plus_hat(d_hat: np.ndarray, grid: GridSpec, gamma: float) -> np.ndarray:
+def f_plus_hat(d_hat: np.ndarray, grid: GridSpec, gamma: float,
+               d3_p: np.ndarray | None = None) -> np.ndarray:
     """Galerkin projection of the cubic term |d|^2 d / gamma.
 
     Evaluated as a single triple product on a padded grid sized for degree 3,
-    so it equals the exact L2 projection in "exact" dealias mode.
+    so it equals the exact L2 projection in "exact" dealias mode, one block of
+    rows at a time; d3_p, d's samples there, is padded here if not given.
     """
-    d_p = to_padded(d_hat, grid, degree=3)
-    fp = np.sum(d_p * d_p, axis=0) * d_p / gamma
+    d_p = to_padded(d_hat, grid, degree=3) if d3_p is None else d3_p
+    fp = _row_blocks(lambda r: np.sum(d_p[r] * d_p[r], axis=0) * d_p[r] / gamma, d_p.shape, grid)
     return from_padded(fp, grid)
 
 

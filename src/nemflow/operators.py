@@ -31,6 +31,10 @@ import numpy as np
 from .fields import GridSpec, _freeze, wavevectors
 
 _TWO_PI_I = 2.0j * np.pi
+# Padded samples per row block of a product or a truncation, 32 KiB of float64
+# per component: fewer make the per-block calls dominate, more bring back the
+# page faults of large temporaries without lowering the time per product
+_BLOCK_SIZE = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +112,18 @@ def padded_size(grid: GridSpec, degree: int) -> int:
     return -(-bound // (n // 2)) * (n // 2)
 
 
+def row_slices(m: int, dim: int) -> list[tuple]:
+    """Indices of the blocks of rows of axis -dim of an m-point padded grid."""
+    step = max(1, _BLOCK_SIZE // m ** (dim - 1))
+    return [(Ellipsis, slice(start, start + step)) + (slice(None),) * (dim - 1)
+            for start in range(0, m, step)]
+
+
 def to_padded(coeffs: np.ndarray, grid: GridSpec, degree: int,
-              out: np.ndarray | None = None) -> np.ndarray:
+              out: np.ndarray | None = None, factor: np.ndarray | None = None) -> np.ndarray:
     """Real samples of the interpolant on the grid padded for the degree,
-    written into out if given (any strides).
+    written into out if given (any strides); given factor, a half-layout
+    symbol, those of factor * coeffs, formed as it fills the staging spectrum.
 
     The staging half spectrum holds the n//2 + 1 columns of the half layout;
     in 3D the axis -3 transform runs only on the rows of axis -2 that
@@ -131,8 +143,11 @@ def to_padded(coeffs: np.ndarray, grid: GridSpec, degree: int,
     if m > n:
         blocks = ((slice(0, h), slice(0, h)), (slice(n // 2, n), slice(m - n // 2, m)))
     for pairs in itertools.product(blocks, repeat=dim - 1):
-        src, dst = zip(*pairs)
-        half[(Ellipsis,) + dst + (slice(None),)] = coeffs[(Ellipsis,) + src + (slice(None),)]
+        src, dst = ((Ellipsis,) + s + (slice(None),) for s in zip(*pairs))
+        if factor is None:
+            half[dst] = coeffs[src]
+        else:
+            np.multiply(factor[src], coeffs[src], out=half[dst])
     if m > n:
         half[..., n // 2] *= 0.5
         for axis in range(1, dim):
@@ -171,16 +186,20 @@ def from_padded(values_padded: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Half-layout coefficients of the band-limited projection of padded-grid
     samples, through project_real.
 
-    Only the retained columns are carried past the rfft, and in 3D the axis -3
-    transform runs only on the retained rows of axis -2.
+    The rfft runs one block of rows of the first padded axis at a time, and
+    only the n/2 retained columns of each block's spectrum are kept, so no
+    full-width spectrum is ever alive; the axis -2 transform runs in place,
+    and in 3D the axis -3 transform only on the retained rows of axis -2.
     """
     n, dim = grid.n, grid.dim
     m = values_padded.shape[-1]
     # (n-grid, m-grid) slots of the retained rows: [0, n/2) keep their slots
     # and (-n/2, 0) sit at the top of either axis
     blocks = ((slice(0, n // 2),) * 2, (slice(n // 2 + 1, n), slice(m - n // 2 + 1, m)))
-    half = np.fft.rfft(values_padded, axis=-1, norm="forward")[..., : n // 2]
-    half = np.fft.fft(half, axis=-2, norm="forward")
+    half = np.empty(values_padded.shape[:-1] + (n // 2,), dtype=np.complex128)
+    for r in row_slices(m, dim):
+        half[r] = np.fft.rfft(values_padded[r], axis=-1, norm="forward")[..., : n // 2]
+    np.fft.fft(half, axis=-2, norm="forward", out=half)
     if dim == 3:
         for _, r in blocks:
             block = half[..., r, :]
@@ -196,16 +215,17 @@ def padded_gradient(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Real samples of every partial derivative on the quadratic padded grid;
     the derivative axis follows the leading axes.
 
-    Each direction is differentiated and padded straight into its slot of the
-    output, so neither the whole coefficient gradient (grad_hat) nor its
-    staging spectrum is ever alive; the samples equal, bit for bit, those of
+    Each direction is differentiated as it fills to_padded's staging
+    spectrum (the factor i 2 pi k_j) and padded straight into its slot of the
+    output, so no derivative array, of one direction or of all (grad_hat), is
+    ever alive beside that spectrum; the samples equal, bit for bit, those of
     to_padded(grad_hat(coeffs, grid), grid, 2).
     """
     ik = _TWO_PI_I * wavevectors(grid)
     lead = coeffs.shape[:-grid.dim]
     out = np.empty(lead + (grid.dim,) + (padded_size(grid, 2),) * grid.dim)
     for j in range(grid.dim):
-        to_padded(ik[j] * coeffs, grid, 2, out=out[(Ellipsis, j) + (slice(None),) * grid.dim])
+        to_padded(coeffs, grid, 2, out=out[(Ellipsis, j) + (slice(None),) * grid.dim], factor=ik[j])
     return out
 
 

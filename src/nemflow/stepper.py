@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .coupling import (
+    _row_blocks,
     convective_hat,
     director_transport_hat,
     director_transport_padded,
@@ -34,7 +35,7 @@ from .coupling import (
     extra_velocity_padded,
 )
 from .diagnostics import EnergyLedger, build_ledger
-from .energetics import ModelParams, chemical_potential_hat
+from .energetics import ModelParams, chemical_potential_hat, f_plus_hat
 from .fields import (
     GridSpec,
     NonFiniteError,
@@ -130,10 +131,10 @@ class StepResult:
 
 @dataclass
 class _Terms:
-    """The nonlinear terms at one iterate that outlive its residual: mu and v
-    (coefficient space), the padded bundles of d, mu and w = u + v and the
-    samples of u, for exact Jacobian actions.  The transport and convection
-    terms enter the residual only, so they are never kept."""
+    """The nonlinear terms at one iterate that outlive its residual, for the
+    Jacobian actions of the pass built on it: mu and v (coefficients), the
+    padded bundles of d, mu and w = u + v, and the samples of u and of d on
+    the well term's grid.  Transport and convection enter the residual only."""
 
     mu: np.ndarray
     v: np.ndarray
@@ -150,14 +151,14 @@ class Attempt:
     pass's update lowered the residual), "pass_cap" (max_iter passes) or
     "overflow" (no start had a finite residual).  evals counts the
     evaluations with a finite residual, the start's included; residual is the
-    last one (inf on overflow); solution is the converged (d_hat, u_hat,
-    terms), else None."""
+    last one (inf on overflow); solution is the converged (d_hat, u_hat, mu,
+    v), else None, so no padded term outlives the attempt into the ledger."""
 
     tau: float
     outcome: str
     evals: int
     residual: float
-    solution: tuple[np.ndarray, np.ndarray, _Terms] | None = field(default=None, repr=False)
+    solution: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
 
 
 def _mode_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -255,7 +256,7 @@ class _Workspace:
         p, grid = self.params, self.grid
         d_b = padded_bundle(d_hat, grid)
         d3_p = d_b[0] if self.cubic_on_bundle_grid else to_padded(d_hat, grid, degree=3)
-        fp = from_padded(np.sum(d3_p * d3_p, axis=0) * d3_p / p.gamma, grid)
+        fp = f_plus_hat(d_hat, grid, p.gamma, d3_p)
         mu = band_limit_hat(self.lap * d_hat + fp - self.d_prev / p.gamma, grid)
         mu_b = padded_bundle(mu, grid)
         v = extra_velocity_hat((mu_b, d_b), p.alpha, grid)
@@ -273,22 +274,26 @@ class _Workspace:
         """Exact directional derivative of the residual map at the iterate
         underlying t.  All product operators are bilinear, so the derivative
         is a sum of the same operators with one argument replaced, and each
-        such sum is truncated once.  The products of delta_d are formed first,
+        such sum is truncated once.  The well term goes first, in row blocks,
+        and off the bundle grid delta_d's samples on its grid are gone before
+        delta_d's bundle is padded.  The products of delta_d are formed next,
         as padded sums that the products of delta_mu and delta_w are then
         added into, so one padded direction bundle is alive at a time."""
         p, grid = self.params, self.grid
-        dd_b = padded_bundle(delta_d, grid)
-        dd3_p = dd_b[0] if self.cubic_on_bundle_grid else to_padded(delta_d, grid, degree=3)
-        d3_p = t.d3_p
-        dfp = from_padded(
-            (np.sum(d3_p * d3_p, axis=0) * dd3_p
-             + 2.0 * np.sum(d3_p * dd3_p, axis=0) * d3_p) / p.gamma,
-            grid,
-        )
+        dd_b = padded_bundle(delta_d, grid) if self.cubic_on_bundle_grid else None
+        dd3_p = to_padded(delta_d, grid, degree=3) if dd_b is None else dd_b[0]
+
+        def well(r):
+            d, dd = t.d3_p[r], dd3_p[r]
+            return (np.sum(d * d, axis=0) * dd + 2.0 * np.sum(d * dd, axis=0) * d) / p.gamma
+
+        dfp = from_padded(_row_blocks(well, dd3_p.shape, grid), grid)
+        del dd3_p  # the well term's last read
+        dd_b = dd_b or padded_bundle(delta_d, grid)
         dmu = band_limit_hat(self.lap * delta_d + dfp, grid)
         dv = extra_velocity_padded((t.mu_b, dd_b), p.alpha, grid)
         dtrans = director_transport_padded((dd_b, t.w_b), p.alpha, grid)
-        del dd_b, dd3_p  # their last products are done
+        del dd_b  # its last products are done
         dv = extra_velocity_hat((padded_bundle(dmu, grid), t.d_b), p.alpha, grid, addend=dv)
         dtrans = director_transport_hat((t.d_b, padded_bundle(delta_u + dv, grid)), p.alpha, grid,
                                         addend=dtrans)
@@ -468,7 +473,7 @@ def _picard_attempt(ws: _Workspace, cfg: PicardConfig,
             payload = None
         else:
             return Attempt(ws.tau, "line_search", evals, res)
-    return Attempt(ws.tau, "converged", evals, res, payload[:3])
+    return Attempt(ws.tau, "converged", evals, res, payload[:2] + (payload[2].mu, payload[2].v))
 
 
 def implicit_step(
@@ -513,12 +518,12 @@ def implicit_step(
         tau *= cfg.tau_shrink
 
     done = attempts[-1]
-    d_hat, u_hat, t = done.solution
+    d_hat, u_hat, mu, v = done.solution
     d, u = (VectorField.from_coefficients(grid, c) for c in (d_hat, u_hat))
     state = StepState(d, u, prev.time + done.tau)
-    ledger = build_ledger(prev, state, t.mu, t.v, replace(params, tau=done.tau),
+    ledger = build_ledger(prev, state, mu, v, replace(params, tau=done.tau),
                           picard_iters=done.evals, picard_residual=done.residual)
-    return StepResult(state, t.mu, t.v, ledger, done.tau)
+    return StepResult(state, mu, v, ledger, done.tau)
 
 
 def residual_fully_implicit(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nemflow import coupling
+from nemflow import coupling, operators
 from nemflow.coupling import director_transport_hat, extra_velocity_hat
 from nemflow.energetics import ModelParams, chemical_potential
 from nemflow.fields import GridSpec, VectorField, ifftn_norm
@@ -182,7 +182,7 @@ def test_row_blocks_equal_whole_array_products(dim, n, mode, blocks):
     than the others."""
     grid = GridSpec(dim, n, mode)
     m = padded_size(grid, 2)
-    rows = coupling._BLOCK_SIZE // m ** (dim - 1)
+    rows = operators._BLOCK_SIZE // m ** (dim - 1)
     assert (0 < rows < m and m % rows != 0) == blocks
     fields = [band_limited(grid, dim, seed=110 + k).coeffs for k in range(4)]
     b = [padded_bundle(c, grid) for c in fields]

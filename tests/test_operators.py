@@ -20,6 +20,7 @@ from nemflow.operators import (
     max_mode_divergence,
     padded_gradient,
     padded_size,
+    project_real,
     to_padded,
 )
 import oracle
@@ -343,6 +344,45 @@ def test_slice_copies_equal_full_pass_bitwise(dim, n, mode, degree):
         # byte comparison: zeros must match in sign too
         got, want = from_padded(samples, grid), _full_pass_from_padded(samples, grid)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _full_width_from_padded(samples, grid):
+    """Reference: from_padded with the rfft of the whole array, full width,
+    sliced to its n/2 retained columns, and the axis -2 transform out of
+    place."""
+    n, dim, m = grid.n, grid.dim, samples.shape[-1]
+    blocks = ((slice(0, n // 2),) * 2, (slice(n // 2 + 1, n), slice(m - n // 2 + 1, m)))
+    half = np.fft.rfft(samples, axis=-1, norm="forward")[..., : n // 2]
+    half = np.fft.fft(half, axis=-2, norm="forward")
+    if dim == 3:
+        for _, r in blocks:
+            block = half[..., r, :]
+            np.fft.fft(block, axis=-3, norm="forward", out=block)
+    out = np.zeros(samples.shape[:-dim] + grid.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+    for pairs in itertools.product(blocks, repeat=dim - 1):
+        dst, src = zip(*pairs)
+        out[(Ellipsis,) + dst + (slice(0, n // 2),)] = half[(Ellipsis,) + src + (slice(None),)]
+    return project_real(out, dim)
+
+
+# padded grids whose rows split into several blocks, some with a shorter last
+# block, except in "none" mode, where one block holds the whole n-grid
+@pytest.mark.parametrize("dim,n,mode,degree", [
+    (dim, n, mode, degree) for dim, n in ((2, 64), (3, 16))
+    for mode in ("none", "two_thirds", "exact") for degree in (2, 3, 4)])
+def test_row_block_truncation_equals_full_width_rfft_bitwise(dim, n, mode, degree):
+    """from_padded, which transforms one block of rows at a time and keeps
+    only the retained columns of each block's spectrum, gives the bytes of
+    the full-width rfft formula, with and without leading axes."""
+    grid = GridSpec(dim, n, mode)
+    m = padded_size(grid, degree)
+    rng = np.random.default_rng(dim * 1000 + n + m + degree)
+    for lead in ((), (3,), (2, 3)):
+        samples = rng.standard_normal(lead + (m,) * dim)
+        kept = samples.copy()
+        got, want = from_padded(samples, grid), _full_width_from_padded(samples, grid)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert np.array_equal(samples, kept)
 
 
 def _padded_gradient_reference(coeffs, grid):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nemflow.energetics import ModelParams, total_energy
-from nemflow import coupling, fields, operators, stepper
+from nemflow import coupling, energetics, fields, operators, stepper
 from nemflow.coupling import convective_hat
 from nemflow.fields import GridSpec, VectorField, fftn_norm, ifftn_norm, parseval_sum
 from nemflow.stepper import (
@@ -492,15 +492,15 @@ def _padded_components(monkeypatch):
     def count(key, array, grid):
         seen[key] = seen.get(key, 0) + int(np.prod(array.shape[:-grid.dim]))
 
-    def counted_to(coeffs, grid, degree, out=None):
+    def counted_to(coeffs, grid, degree, out=None, factor=None):
         count(f"to{degree}", coeffs, grid)
-        return real_to(coeffs, grid, degree, out=out)
+        return real_to(coeffs, grid, degree, out=out, factor=factor)
 
     def counted_from(values, grid):
         count("from", values, grid)
         return real_from(values, grid)
 
-    for module in (operators, coupling, stepper):
+    for module in (operators, coupling, energetics, stepper):
         for name, spy in (("to_padded", counted_to), ("from_padded", counted_from)):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, spy)
@@ -858,12 +858,9 @@ def test_steps_call_no_numpy_linalg(monkeypatch):
         assert implicit_step(prev, params, PicardConfig(tol=1e-12)).ledger.picard_iters > 1
 
 
-def test_warm_step_peak_in_padded_arrays():
-    """The traced peak of one warm-started step at 2D n=64 two_thirds, in
-    quadratic padded components (96^2 float64): 99.7 before Jacobian actions
-    kept one direction bundle at a time, levels held no samples and the
-    Krylov basis was built in place, 88.9 after."""
-    grid = GridSpec(2, 64, "two_thirds")
+def _warm_step_peak(grid):
+    """The traced peak of one warm-started step, in quadratic padded
+    components (padded_size(grid, 2) ** dim float64)."""
     prev = StepState(perturbed_director(grid, seed=81, amplitude=0.1),
                      solenoidal(grid, seed=82, kcut=2, scale=0.1))
     params = ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3)
@@ -877,7 +874,50 @@ def test_warm_step_peak_in_padded_arrays():
     finally:
         tracemalloc.stop()
     assert result.tau_used == params.tau
-    assert peak <= 94 * padded_size(grid, 2) ** 2 * 8, peak / (padded_size(grid, 2) ** 2 * 8)
+    return peak / (padded_size(grid, 2) ** grid.dim * 8)
+
+
+def test_warm_step_peak_in_padded_arrays():
+    """The traced peak of one warm-started step at 2D n=64 two_thirds, in
+    quadratic padded components (96^2 float64): 99.7 before Jacobian actions
+    kept one direction bundle at a time, levels held no samples and the
+    Krylov basis was built in place, 88.9 after."""
+    peak = _warm_step_peak(GridSpec(2, 64, "two_thirds"))
+    assert peak <= 94, peak
+
+
+def test_warm_3d_step_peak_in_padded_arrays():
+    """The same at 3D n=12 exact (18^3 float64), where the well term has its
+    own padded grid (24^3): 104.0 while a Jacobian action padded delta_d's
+    bundle before its well term and truncated through full-width spectra,
+    96.0 with the well term first, in row blocks, and narrow truncations."""
+    peak = _warm_step_peak(GridSpec(3, 12, "exact"))
+    assert peak <= 100, peak
+
+
+def test_ledger_runs_after_the_padded_terms_are_gone(monkeypatch):
+    """When the step builds its ledger (whose well quadrature pads d onto the
+    degree-4 grid), no padded array of any residual evaluation is alive: the
+    converged attempt keeps mu and v, not its terms."""
+    refs, at_ledger = [], []  # weakrefs to every padded term; live ones at the ledger
+    real_terms, real_ledger = _Workspace.terms, stepper.build_ledger
+
+    def spy_terms(self, *args):
+        out = real_terms(self, *args)
+        t = out[0]
+        refs.extend(weakref.ref(a) for a in (*t.d_b, *t.mu_b, *t.w_b, t.u_p, t.d3_p))
+        return out
+
+    def spy_ledger(*args, **kwargs):
+        at_ledger.append(sum(ref() is not None for ref in refs))
+        return real_ledger(*args, **kwargs)
+
+    monkeypatch.setattr(_Workspace, "terms", spy_terms)
+    monkeypatch.setattr(stepper, "build_ledger", spy_ledger)
+    with refcounting_only():
+        implicit_step(_warm_start_level(), ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3),
+                      PicardConfig(tol=1e-12))
+    assert len(refs) > 7 and at_ledger == [0], at_ledger
 
 
 def test_krylov_directions_are_real_fields(monkeypatch):
