@@ -65,6 +65,7 @@ def build_ledger(
     *,
     picard_iters: int,
     picard_residual: float,
+    prev_energy: float | None = None,
 ) -> EnergyLedger:
     """Assemble every term of the energy balance for the step prev -> cur.
 
@@ -72,13 +73,15 @@ def build_ledger(
     mu_hat and v_hat.  All quadratic terms are Parseval sums; the well
     integral uses the same dealiased quadrature as the stepper, so in exact
     mode the recorded slack reduces to the (nonnegative) convexity gap plus
-    solver residual.
+    solver residual.  prev_energy is prev's total energy, as the previous
+    step's ledger recorded it (e_total); it is computed when not given.
     """
     grid = cur.grid
     tau = params.tau
     d_hat, u_hat, dp_hat, up_hat = cur.d.coeffs, cur.u.coeffs, prev.d.coeffs, prev.u.coeffs
     energy = total_energy_hat(d_hat, u_hat, params, grid)
-    prev_total = total_energy_hat(dp_hat, up_hat, params, grid).total
+    if prev_energy is None:
+        prev_energy = total_energy_hat(dp_hat, up_hat, params, grid).total
 
     g = grad_hat(u_hat, grid)
     sym = 0.5 * (g + np.swapaxes(g, 0, 1))
@@ -91,7 +94,7 @@ def build_ledger(
     j_d = parseval_sum(np.abs(dd) ** 2) / (2.0 * params.gamma)
     j_u = kinetic_energy_hat(u_hat - up_hat, params.rho)
 
-    slack = prev_total - energy.total - (d_visc + d_friction + d_eps + j_grad + j_d + j_u)
+    slack = prev_energy - energy.total - (d_visc + d_friction + d_eps + j_grad + j_d + j_u)
 
     return EnergyLedger(
         time=cur.time,

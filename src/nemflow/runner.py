@@ -57,15 +57,14 @@ def _csv_row(step: int, ledger, stats, div_u: float, h2: float) -> str:
     return ",".join(_fmt(c) for c in cells)
 
 
-def _extrapolated_guess(
-    state: StepState, prev: StepState | None
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Linear extrapolation in time as a solver warm start: the (d_hat, u_hat)
-    coefficient pair 2 * state - prev, with u_hat Leray-projected."""
+def _extrapolated_guess(state: StepState, prev: StepState | None) -> list[np.ndarray] | None:
+    """Linear extrapolation in time as a solver warm start: the [d_hat, u_hat]
+    coefficient pair 2 * state - prev, with u_hat Leray-projected.  It is a
+    list, which implicit_step empties once the pair has made its start."""
     if prev is None:
         return None
     u_hat = leray_hat(2.0 * state.u.coeffs - prev.u.coeffs, state.grid)
-    return 2.0 * state.d.coeffs - prev.d.coeffs, u_hat
+    return [2.0 * state.d.coeffs - prev.d.coeffs, u_hat]
 
 
 def run_simulation(cfg: RunConfig) -> RunReport:
@@ -81,8 +80,8 @@ def run_simulation(cfg: RunConfig) -> RunReport:
     """
     grid = cfg.grid
     state = initial_condition(cfg.ic.kind, grid, cfg.ic.seed, cfg.ic.amplitude)
-    e0 = total_energy_hat(state.d.coeffs, state.u.coeffs, cfg.params, grid).total
-    budget = 10.0 * cfg.picard.tol * (1.0 + e0)
+    energy = total_energy_hat(state.d.coeffs, state.u.coeffs, cfg.params, grid).total
+    budget = 10.0 * cfg.picard.tol * (1.0 + energy)
 
     trace_path = Path(cfg.output.trace_path)
     snap_dir = Path(cfg.output.snapshot_dir)
@@ -110,14 +109,15 @@ def run_simulation(cfg: RunConfig) -> RunReport:
                 if remaining < params.tau - 1e-9 * params.tau:
                     params = replace(params, tau=remaining)
                 try:
-                    result = implicit_step(state, params, cfg.picard, guess=guess)
+                    result = implicit_step(state, params, cfg.picard, guess=guess,
+                                           prev_energy=energy)
                 except (PicardDivergenceError, NonFiniteError) as exc:
                     failure = f"step {step + 1}: {exc}"
                     status = EXIT_SOLVER
                     break
                 step += 1
                 prev_state = state
-                state = result.state
+                state, energy = result.state, result.ledger.e_total
                 d = ifftn_norm(state.d.coeffs, grid.dim)
                 stats = director_length_stats(d)
                 div_u = spectral_divergence_max(state.u)

@@ -6,15 +6,17 @@ third-order one; a scalar epsilon-Helmholtz solve (second-order symbol)
 cannot damp either, so a plain lagged sweep diverges for any practical tau.
 The solver therefore works on the exact nonlinear residual F of the scheme:
 
-  * the elementary damped sweep is x -> x - theta * G^{-1} F(x), where G is
-    the constant-coefficient linearisation of the stiff terms at the mean
+  * the elementary sweep is x -> x - G^{-1} F(x), where G is the
+    constant-coefficient linearisation of the stiff terms at the mean
     director of the previous level, assembled mode by mode and solved through
     a real dim x dim Schur complement per wavenumber, after eliminating the
-    scalar momentum block, so every solve stays Fourier-diagonal;
-  * implicit_step drives F to tolerance by inexact Newton passes: a few
-    matrix-free GMRES iterations (preconditioned by those same blocks, with
-    hand-coded exact Jacobian actions) followed by residual-monotone
-    backtracking.
+    scalar momentum block, so every solve stays Fourier-diagonal; alone it
+    converges only near equilibrium, where G is almost the Jacobian;
+  * implicit_step drives F to tolerance by inexact Newton passes: a pass
+    takes the sweep when its last measured contraction already meets the
+    pass's forcing target, and otherwise a few matrix-free GMRES iterations
+    (preconditioned by those same blocks, with hand-coded exact Jacobian
+    actions) followed by residual-monotone backtracking.
 
 Fixed points are solutions of the unmodified implicit system in either case;
 the preconditioner never alters what is solved, only how fast.
@@ -99,9 +101,11 @@ class PicardConfig:
     tau_min is the floor below which a failing step stops shrinking tau;
     implicit_step resolves it as min(tau_min or 1e-6 * tau, tau), so a floor
     above the step being taken (a shortened last step) allows exactly one
-    attempt.  max_iter caps the Newton passes per tau attempt, not the
-    residual evaluations: each pass's line search starts from the full update
-    and halves it up to 8 times until the residual decreases.
+    attempt.  max_iter caps the Newton passes per tau attempt, sweeps and
+    GMRES passes alike, not the residual evaluations: a GMRES pass's line
+    search starts from the full update and halves it up to 8 times until the
+    residual decreases, and a sweep that fails costs one more evaluation of
+    its iterate before the next pass.
     """
 
     tol: float = 1e-10
@@ -334,7 +338,8 @@ class _Workspace:
         return np.concatenate([d_hat, u_hat])
 
 
-def _gmres(matvec, b: np.ndarray, rel_tol: float, max_inner: int) -> np.ndarray:
+def _gmres(matvec, b: np.ndarray, rel_tol: float, max_inner: int,
+           sweep: list[float] | None = None) -> np.ndarray:
     """Matrix-free GMRES on iterate vectors of real fields, no restarts.
 
     The operator is only real-linear, so under the Parseval-weighted L2 inner
@@ -360,6 +365,12 @@ def _gmres(matvec, b: np.ndarray, rel_tol: float, max_inner: int) -> np.ndarray:
     b is consumed: it is normalised in place and becomes the first basis
     vector, and each matvec result (a new array) is orthogonalised and
     normalised in place into the next, so the basis is the only copy.
+
+    The first column also measures the plain update y = b: with v1 = b / |b|
+    and A v1 = h11 v1 + h21 v2, its relative residual is
+    |v1 - A v1| = hypot(1 - h11, h21).  When sweep is a list, that factor is
+    appended to it (inf or nan if the first column overflowed, either of
+    which meets no target), at the cost of no matvec and no inner product.
     """
 
     def dot(p: np.ndarray, q: np.ndarray) -> float:
@@ -382,6 +393,8 @@ def _gmres(matvec, b: np.ndarray, rel_tol: float, max_inner: int) -> np.ndarray:
             col[i] = dot(basis[i], w)
             w -= col[i] * basis[i]
         col[k + 1] = np.sqrt(dot(w, w))
+        if k == 0 and sweep is not None:
+            sweep.append(float(np.hypot(1.0 - col[0], col[1])))
         if not np.isfinite(col[k + 1]):
             break  # the operator overflowed: keep the solution of the earlier columns
         lucky = col[k + 1] <= 1e-14 * np.hypot.reduce(col)
@@ -410,16 +423,32 @@ def _gmres(matvec, b: np.ndarray, rel_tol: float, max_inner: int) -> np.ndarray:
 
 
 def _picard_attempt(ws: _Workspace, cfg: PicardConfig,
-                    guess: tuple[np.ndarray, np.ndarray] | None) -> Attempt:
+                    guess: tuple[np.ndarray, np.ndarray] | list[np.ndarray] | None) -> Attempt:
     """Drive the residual to tolerance at ws.tau; every ending is an Attempt.
 
-    Inexact Newton: each outer pass solves the linearised system with a few
-    matrix-free GMRES iterations, right-preconditioned by the frozen-symbol
-    blocks, then backtracks along the update until the residual decreases.
+    Inexact Newton: each outer pass takes an update whose linearised residual
+    meets the pass's forcing target eta (Eisenstat & Walker, SISC 1996).  A
+    pass sweeps, x -> x - G^{-1} F(x) with the frozen-symbol blocks G and no
+    Krylov solve, when the last measured sweep factor
+    s = |F - J G^{-1} F| / |F| is at or below eta: near equilibrium G is
+    almost the Jacobian, and a good physics-based preconditioner is a
+    convergent fixed-point iteration in its own right (Knoll & Keyes, JCP
+    2004).  Otherwise it solves the linearised system with a few matrix-free
+    GMRES iterations, right-preconditioned by G, whose first Krylov column
+    measures s, then backtracks along the update until the residual
+    decreases.  s starts at 0 from the warm start and at inf from the
+    previous level, and is res_new / res after an accepted sweep.  A sweep is
+    tried at full length only: if it does not lower the residual, s becomes
+    inf and the iterate is evaluated again (its terms were released before
+    the trial's were built) for a GMRES pass, so only a GMRES pass can end in
+    "line_search".  Sweeps count as passes toward cfg.max_iter.
+
     The solved system is the unmodified implicit scheme.  evaluate judges
     every iterate: inf unless both residual norms are finite.  The start is
     the guess, or the previous level if there is none or it is inf; a trial
-    that is inf halves theta uncounted.
+    that is inf counts no evaluation.  A guess given as a list is emptied
+    once its start is formed, so the caller's list does not keep the pair
+    alive through the attempt.
     """
 
     def evaluate(x):
@@ -430,34 +459,59 @@ def _picard_attempt(ws: _Workspace, cfg: PicardConfig,
         res = max(rd, ru) if np.isfinite(rd) and np.isfinite(ru) else np.inf
         return res, ((d_hat, u_hat, t, r_d, r_u) if res < np.inf else None)
 
-    for start in ([] if guess is None else [guess]) + [(ws.d_prev, ws.u_prev)]:
-        x = ws.join(*start)
+    warm = guess is not None
+    x = ws.join(*(guess if warm else (ws.d_prev, ws.u_prev)))
+    if isinstance(guess, list):
+        guess.clear()
+    res, payload = evaluate(x)
+    if res == np.inf and warm:
+        warm, x = False, ws.join(ws.d_prev, ws.u_prev)
         res, payload = evaluate(x)
-        if res < np.inf:
-            break
-    else:
+    if res == np.inf:
         return Attempt(ws.tau, "overflow", 0, np.inf)
 
     evals, passes = 1, 0
+    sweep = 0.0 if warm else np.inf  # the last measured sweep factor s
     while res > cfg.tol:
         if passes == cfg.max_iter:
             return Attempt(ws.tau, "pass_cap", evals, res)
         passes += 1
+        if payload is None:  # the last pass was a sweep that failed
+            payload = evaluate(x)[1]
+            evals += 1
         t, rhs = payload[2], ws.join(*payload[3:])
-        # r_d, r_u live on in rhs only, which _gmres consumes as its first basis
-        # vector; the last update is spent
+        # r_d, r_u live on in rhs only, which the sweep reads or _gmres
+        # consumes as its first basis vector; the last update is spent
         payload = step = None
-
-        def matvec(y):
-            return ws.join(*ws.jacobian_action(t, *ws.precondition_vec(y)))
 
         # Eisenstat-Walker-style forcing (SISC 1996), relative to |F|: at most
         # 0.5 so each pass still halves the linearised residual, like sqrt(res)
         # so the passes converge superlinearly, and at least 3 tol / res so
         # GMRES never aims below about 3 tol, which the outer test cannot use.
         forcing = min(0.5, max(np.sqrt(res) * 0.3, 3.0 * cfg.tol / max(res, cfg.tol)))
-        step = ws.join(*ws.precondition_vec(_gmres(matvec, rhs, forcing, max_inner=24)))
-        t = None  # each trial builds its own: one set of padded terms is alive
+        if sweep <= forcing:
+            # the trial builds its own terms: one set of padded terms is alive
+            t = None
+            trial = x - ws.join(*ws.precondition_vec(rhs))
+            rhs = None
+            res_new, payload = evaluate(trial)
+            if res_new < np.inf:
+                evals += 1
+            if res_new < res:
+                sweep, x, res = res_new / res, trial, res_new
+            else:
+                sweep, payload = np.inf, None
+            continue
+
+        def matvec(y):
+            return ws.join(*ws.jacobian_action(t, *ws.precondition_vec(y)))
+
+        measured = []
+        step = ws.join(*ws.precondition_vec(_gmres(matvec, rhs, forcing, 24, measured)))
+        sweep = measured[0] if measured else np.inf
+        # rhs is spent as the first basis vector, and each trial builds its own
+        # terms: one set of padded terms is alive
+        rhs = t = None
 
         theta = 1.0
         for _ in range(8):
@@ -480,21 +534,26 @@ def implicit_step(
     prev: StepState,
     params: ModelParams,
     cfg: PicardConfig | None = None,
-    guess: tuple[np.ndarray, np.ndarray] | None = None,
+    guess: tuple[np.ndarray, np.ndarray] | list[np.ndarray] | None = None,
+    prev_energy: float | None = None,
 ) -> StepResult:
     """Advance one step of the implicit scheme, shrinking tau on failure.
 
     guess is an optional warm start, a (d_hat, u_hat) pair of half-layout
     coefficients (e.g. an extrapolation from earlier levels); it is used for
     the first tau attempt only and never changes the converged solution, only
-    how fast the solver reaches it.  A stalled attempt multiplies tau by
-    cfg.tau_shrink and retries from the previous level, down to the floor
-    min(cfg.tau_min or 1e-6 * tau, tau), below which it raises
-    PicardDivergenceError.  An overflow attempt found no finite residual at
-    the previous level, where the residual is tau times terms that do not
-    depend on tau: a smaller tau makes its norm finite only if that norm lay
-    between about 1e154 and 1e154 * tau / floor, so it raises NonFiniteError
-    at once.  Either message lists every attempt.
+    how fast the solver reaches it.  A list pair is emptied once its start is
+    formed, so the caller's list does not keep it alive through the step.
+    prev_energy is prev's total energy when the caller already has it (the
+    run loop keeps the last ledger's); the ledger computes it otherwise.
+
+    A stalled attempt multiplies tau by cfg.tau_shrink and retries from the
+    previous level, down to the floor min(cfg.tau_min or 1e-6 * tau, tau),
+    below which it raises PicardDivergenceError.  An overflow attempt found
+    no finite residual at the previous level, where the residual is tau times
+    terms that do not depend on tau: a smaller tau makes its norm finite only
+    if that norm lay between about 1e154 and 1e154 * tau / floor, so it
+    raises NonFiniteError at once.  Either message lists every attempt.
     """
     cfg = cfg or PicardConfig()
     grid = prev.grid
@@ -522,7 +581,8 @@ def implicit_step(
     d, u = (VectorField.from_coefficients(grid, c) for c in (d_hat, u_hat))
     state = StepState(d, u, prev.time + done.tau)
     ledger = build_ledger(prev, state, mu, v, replace(params, tau=done.tau),
-                          picard_iters=done.evals, picard_residual=done.residual)
+                          picard_iters=done.evals, picard_residual=done.residual,
+                          prev_energy=prev_energy)
     return StepResult(state, mu, v, ledger, done.tau)
 
 

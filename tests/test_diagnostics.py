@@ -7,7 +7,7 @@ from nemflow.diagnostics import (
     director_length_stats,
     h2_diagnostic,
 )
-from nemflow.energetics import ModelParams, total_energy
+from nemflow.energetics import ModelParams, total_energy, total_energy_hat
 from nemflow.fields import GridSpec, VectorField, fftn_norm, laplace_symbol
 from nemflow.stepper import PicardConfig, StepState, implicit_step
 from util import (band_limited, l2_norm, perturbed_director, solenoidal, transport_only_run,
@@ -33,6 +33,21 @@ def test_equilibrium_ledger_all_zero():
     for name in ("d_visc", "d_friction", "d_eps", "j_grad", "j_d", "j_u"):
         assert getattr(ledger, name) == 0.0
     assert abs(ledger.slack) < 1e-12
+
+
+def test_ledger_given_previous_energy_is_bitwise_the_same():
+    """Passing prev's total energy in, as the run loop does, gives the ledger
+    that computing it gives, bit for bit."""
+    grid = GridSpec(2, 16, "exact")
+    prev = StepState(perturbed_director(grid, seed=41, amplitude=0.2),
+                     solenoidal(grid, seed=42, kcut=3, scale=0.2))
+    params = ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3)
+    result = implicit_step(prev, params, PicardConfig(tol=1e-11))
+    e_prev = total_energy_hat(prev.d.coeffs, prev.u.coeffs, params, grid).total
+    given = build_ledger(prev, result.state, result.mu_hat, result.v_hat, params,
+                         picard_iters=result.ledger.picard_iters,
+                         picard_residual=result.ledger.picard_residual, prev_energy=e_prev)
+    assert given == result.ledger
 
 
 def test_ledger_bookkeeping_identity():

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nemflow import fields, runner, snapshots
+from nemflow import diagnostics, fields, runner, snapshots
 from nemflow.cli import main as cli_main
 from nemflow.config import parse_config
 from nemflow.diagnostics import EnergyLedger
@@ -273,6 +273,25 @@ def test_step_holds_no_earlier_level_or_result(tmp_path, monkeypatch):
     assert report.status == 0 and report.steps == 4
     assert [len(a) for a in alive] == [0, 8, 16, 24]
     assert not any(any(a) for a in alive), alive
+
+
+def test_each_level_energy_is_computed_once(tmp_path, monkeypatch):
+    """A 3-step 3D n=8 exact run evaluates total_energy_hat once per level:
+    the runner for the initial level, each step's ledger for its new level,
+    and each ledger takes its previous level's total from the step before."""
+    cfg = parse_config(_config_text(tmp_path, dim=3, n=8, **{"ic.amplitude": 0.05}))
+    levels = []
+    real = runner.total_energy_hat
+
+    def spy(d_hat, u_hat, params, grid):
+        levels.append(d_hat.tobytes() + u_hat.tobytes())
+        return real(d_hat, u_hat, params, grid)
+
+    for module in (runner, diagnostics):
+        monkeypatch.setattr(module, "total_energy_hat", spy)
+    report = run_simulation(cfg)
+    assert report.status == 0 and report.steps == 3
+    assert len(levels) == len(set(levels)) == report.steps + 1
 
 
 @pytest.mark.parametrize("snapshots_on,inverse", [(False, 7), (True, 19)])

@@ -788,6 +788,18 @@ def test_gmres_residual_estimate_is_the_true_residual():
     assert columns(residual - 1e-10)[0] == m + 1
 
 
+def test_gmres_reports_the_sweep_factor_of_its_first_column():
+    """The factor _gmres reports is |v1 - A v1| for v1 = b / |b|, the relative
+    residual of the plain update y = b, read off the first Arnoldi column."""
+    op, b, *_ = _dense_operator(3)
+    v1 = b / spectral_l2_norm(b)
+    want = spectral_l2_norm(v1 - op(v1))
+    for rel_tol in (0.9, 1e-6):  # a solve of one column and one of many
+        measured = []
+        stepper._gmres(op, b.copy(), rel_tol, max_inner=24, sweep=measured)
+        assert len(measured) == 1 and abs(measured[0] - want) <= 1e-12, (measured, want)
+
+
 def test_gmres_overflow_keeps_the_earlier_columns():
     """An operator that returns inf on its third call: the solve stops there
     and returns the minimal-residual solution over the first two columns,
@@ -981,3 +993,120 @@ def test_overflowing_guess_falls_back_to_previous_level():
     assert np.array_equal(wild.state.u.coeffs, plain.state.u.coeffs)
     assert wild.tau_used == plain.tau_used == params.tau
     assert wild.ledger.picard_iters == plain.ledger.picard_iters == 8
+
+
+def _sweep_spies(monkeypatch):
+    """Every residual evaluation (its normalised residual, the bytes of the
+    d_hat it evaluated, and how many earlier terms, residual fields and
+    preconditioner inputs are still alive when it starts), GMRES solve and
+    Jacobian action, in call order."""
+    events, refs = [], []
+    real_terms, real_gmres, real_action, real_precondition = (
+        _Workspace.terms, stepper._gmres, _Workspace.jacobian_action, _Workspace.precondition_vec)
+
+    def spy_terms(self, d_hat, u_hat):
+        alive = sum(ref() is not None for ref in refs)
+        out = real_terms(self, d_hat, u_hat)
+        refs.extend(weakref.ref(a) for a in out)
+        res = max(spectral_l2_norm(out[1]) / (1.0 + spectral_l2_norm(d_hat)),
+                  spectral_l2_norm(out[2]) / (1.0 + spectral_l2_norm(u_hat)))
+        events.append(("eval", res, d_hat.tobytes(), alive))
+        return out
+
+    def spy_precondition(self, y):
+        refs.append(weakref.ref(y))
+        return real_precondition(self, y)
+
+    def spy_gmres(*args, **kwargs):
+        events.append(("gmres",))
+        return real_gmres(*args, **kwargs)
+
+    def spy_action(self, *args):
+        events.append(("action",))
+        return real_action(self, *args)
+
+    monkeypatch.setattr(_Workspace, "terms", spy_terms)
+    monkeypatch.setattr(stepper, "_gmres", spy_gmres)
+    monkeypatch.setattr(_Workspace, "jacobian_action", spy_action)
+    monkeypatch.setattr(_Workspace, "precondition_vec", spy_precondition)
+    return events
+
+
+_PARAMS = ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3)
+
+
+def _quiet_levels(steps):
+    """2D n=16 two_thirds, amplitude 0.001: the levels of the first steps,
+    each warm-started as the run loop does, and the guess for the next."""
+    prev = initial_condition("uniform_perturbed", GridSpec(2, 16, "two_thirds"), 1, 0.001)
+    older = None
+    for _ in range(steps):
+        older, prev = prev, implicit_step(prev, _PARAMS, guess=_extrapolated_guess(prev, older)).state
+    return prev, _extrapolated_guess(prev, older)
+
+
+def test_warm_near_equilibrium_step_sweeps_without_krylov(monkeypatch):
+    """Near equilibrium the warm start's sweep meets each pass's forcing
+    target, so the step converges with no GMRES solve and no Jacobian action:
+    the start, then one sweep per pass, each lowering the residual.  When a
+    sweep's trial is evaluated, the iterate's terms, its residual fields and
+    the right-hand side the sweep preconditioned are gone."""
+    prev, guess = _quiet_levels(2)
+    events = _sweep_spies(monkeypatch)
+    with refcounting_only():
+        result = implicit_step(prev, _PARAMS, guess=guess)
+    assert result.tau_used == _PARAMS.tau
+    assert [e[0] for e in events] == ["eval"] * result.ledger.picard_iters
+    res = [e[1] for e in events]
+    assert len(res) >= 3 and all(b < a for a, b in zip(res, res[1:])), res
+    assert [e[3] for e in events] == [0] * len(events)
+    assert result.ledger.picard_residual <= PicardConfig().tol
+
+
+def test_sweep_that_raises_the_residual_falls_back_to_gmres(monkeypatch):
+    """A warm start off the solution: its first sweep lowers the residual, the
+    second raises it, so the iterate is evaluated once more, the pass runs
+    GMRES, and the attempt converges at the configured tau."""
+    prev = _warm_start_level()
+    noise = band_limited(prev.grid, 2, 5, scale=1.0).coeffs
+    guess = [prev.d.coeffs + 0.01 * noise, prev.u.coeffs]
+    events = _sweep_spies(monkeypatch)
+    cfg = PicardConfig(tol=1e-12)
+    with refcounting_only():
+        result = implicit_step(prev, _PARAMS, cfg, guess=guess)
+    assert result.tau_used == _PARAMS.tau
+    assert [e[0] for e in events[:5]] == ["eval"] * 4 + ["gmres"]
+    start, swept, raised, again = events[:4]
+    assert swept[1] < start[1] and raised[1] > swept[1]
+    assert again[1:3] == swept[1:3]  # the same iterate, the same residual
+    evals = [e for e in events if e[0] == "eval"]
+    assert len(evals) == len({e[2] for e in evals}) + 1  # one evaluation repeated
+    assert len(evals) == result.ledger.picard_iters
+    assert [e[3] for e in evals] == [0] * len(evals)  # one set of terms at a time
+    assert result.ledger.picard_residual <= cfg.tol
+
+
+def test_guess_is_released_once_its_start_is_evaluated(monkeypatch):
+    """The run loop's warm start is a list, which the step empties once the
+    pair has made its start: during the step's trial evaluations and its
+    Jacobian actions no part of the guess is alive."""
+    prev, guess = _quiet_levels(1)
+    refs = [weakref.ref(c) for c in guess]
+    seen = []  # (what, live parts of the guess)
+    real_terms, real_action = _Workspace.terms, _Workspace.jacobian_action
+
+    def spy_terms(self, *args):
+        seen.append(("eval", sum(ref() is not None for ref in refs)))
+        return real_terms(self, *args)
+
+    def spy_action(self, *args):
+        seen.append(("action", sum(ref() is not None for ref in refs)))
+        return real_action(self, *args)
+
+    monkeypatch.setattr(_Workspace, "terms", spy_terms)
+    monkeypatch.setattr(_Workspace, "jacobian_action", spy_action)
+    with refcounting_only():
+        result = implicit_step(prev, _PARAMS, guess=guess)
+    assert result.tau_used == _PARAMS.tau and guess == []
+    assert {"eval", "action"} <= {what for what, _ in seen[1:]}, seen
+    assert all(live == 0 for _, live in seen[1:]), seen
