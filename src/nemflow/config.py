@@ -37,8 +37,9 @@ class InitialConditionSpec:
     def __post_init__(self):
         if self.kind not in IC_KINDS:
             raise ConfigError(f"ic.kind must be one of {IC_KINDS}, got {self.kind!r}")
-        if self.seed < 0:
-            raise ConfigError(f"ic.seed >= 0 required, got {self.seed}")
+        if not 0 <= self.seed < 2**64:
+            # the initial-condition stream is keyed by the seed mod 2**64
+            raise ConfigError(f"0 <= ic.seed < 2**64 required, got {self.seed}")
         if self.amplitude < 0:
             raise ConfigError("ic.amplitude >= 0 required")
 

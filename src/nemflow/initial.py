@@ -1,7 +1,10 @@
 """Deterministic initial-condition generators.
 
 All kinds produce a solenoidal, zero-mean velocity (Leray projection applied
-after generation) and are bitwise reproducible for a fixed seed.  The
+after generation) and are bitwise reproducible for a fixed seed.  The noise
+comes from an in-package SplitMix64 stream (Steele, Lea & Flood, OOPSLA 2014)
+computed with exact integer arithmetic, so a seed draws the same noise on
+every numpy version and platform, and no run imports numpy.random.  The
 director profiles are conventional nematic test states:
 
   * uniform_perturbed: ground state e1 plus a band-limited perturbation
@@ -25,14 +28,40 @@ _PERTURBATION_KCUT = 2
 _DEFECT_CORE_RADIUS = 0.08
 
 
-def _band_limited_noise(rng: np.random.Generator, grid: GridSpec, components: int,
+class SplitMix64:
+    """The SplitMix64 stream of a seed in [0, 2**64), as uniform draws in
+    [-1, 1).
+
+    Draw i = 1, 2, ... finalises the counter seed + i * 0x9E3779B97F4A7C15
+    (mod 2**64) and maps its top 53 bits to (z >> 11) * 2**-52 - 1, exactly.
+    Successive calls continue the stream.
+    """
+
+    def __init__(self, seed: int):
+        self._seed = np.uint64(seed)
+        self._drawn = 0
+
+    def uniform(self, shape: tuple[int, ...]) -> np.ndarray:
+        count = int(np.prod(shape))
+        z = np.arange(self._drawn + 1, self._drawn + count + 1, dtype=np.uint64)
+        self._drawn += count
+        z = z * np.uint64(0x9E3779B97F4A7C15) + self._seed
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return ((z >> np.uint64(11)).astype(np.float64) * 2.0**-52 - 1.0).reshape(shape)
+
+
+def _band_limited_noise(rng: SplitMix64, grid: GridSpec, components: int,
                         kcut: int) -> np.ndarray:
     """Random smooth field: white noise restricted to modes |k_j| <= kcut.
 
-    The cutoff is capped at n/2 - 1: the solver's retained space has no
-    Nyquist modes, so Nyquist content in a state could never be removed.
+    Callers rescale it (by its max pointwise norm or its rms), so the draws'
+    distribution does not matter. The cutoff is capped at n/2 - 1: the
+    solver's retained space has no Nyquist modes, so Nyquist content in a
+    state could never be removed.
     """
-    raw = rng.normal(size=(components, *grid.shape))
+    raw = rng.uniform((components, *grid.shape))
     coeffs = fftn_norm(raw, grid.dim)
     kcut = min(kcut, grid.n // 2 - 1)
     mask = np.all(np.abs(integer_wavevectors(grid)) <= kcut, axis=0)
@@ -43,7 +72,7 @@ def _max_pointwise_norm(values: np.ndarray) -> float:
     return float(np.max(np.sqrt(np.sum(values * values, axis=0))))
 
 
-def _random_flow(rng: np.random.Generator, grid: GridSpec, kcut: int,
+def _random_flow(rng: SplitMix64, grid: GridSpec, kcut: int,
                  amplitude: float) -> np.ndarray:
     """Random band-limited solenoidal velocity scaled to max |u| = amplitude;
     zero, with no draw from rng, when amplitude is 0."""
@@ -60,7 +89,7 @@ def _random_flow(rng: np.random.Generator, grid: GridSpec, kcut: int,
 def initial_condition(kind: str, grid: GridSpec, seed: int, amplitude: float) -> StepState:
     """Build the initial (d, u) state; deterministic in (kind, grid, seed,
     amplitude)."""
-    rng = np.random.default_rng(seed)
+    rng = SplitMix64(seed)
     if kind == "uniform_perturbed":
         d = np.zeros((grid.dim, *grid.shape))
         d[0] = 1.0

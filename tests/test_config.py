@@ -114,6 +114,7 @@ def test_non_finite_float_rejected(raw):
 
 @pytest.mark.parametrize("dim,extra,key", [
     (2, "ic.seed = -1", "ic.seed"),
+    (2, f"ic.seed = {2**64}", "ic.seed"),
     (3, "ic.kind = defect_pair", "ic.kind"),
 ])
 def test_unbuildable_initial_condition_is_config_error(tmp_path, capsys, dim, extra, key):
@@ -132,6 +133,7 @@ def test_unbuildable_initial_condition_is_config_error(tmp_path, capsys, dim, ex
         assert "config ok" not in captured.out
     assert not trace.exists()
     parse_config(MINIMAL + "ic.seed = 0\nic.kind = defect_pair\n")  # the 2D boundary case is fine
+    parse_config(MINIMAL + f"ic.seed = {2**64 - 1}\n")  # so is the largest seed
 
 
 def test_epsilon_zero_is_config_error(tmp_path, capsys):

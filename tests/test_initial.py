@@ -3,8 +3,29 @@ import pytest
 
 from nemflow.diagnostics import director_length_stats, spectral_divergence_max
 from nemflow.fields import GridSpec, fftn_norm, spectral_l2_norm
-from nemflow.initial import initial_condition
+from nemflow.initial import SplitMix64, initial_condition
 from util import nyquist_mask
+
+
+@pytest.mark.parametrize("seed,outputs", [
+    # seed 0 gives the published reference outputs of SplitMix64
+    (0, (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)),
+    (2**64 - 1, (0xE4D971771B652C20, 0xE99FF867DBF682C9, 0x382FF84CB27281E9)),
+])
+def test_stream_first_draws_are_pinned(seed, outputs):
+    """The stream's first draws are the SplitMix64 outputs' top 53 bits,
+    mapped exactly to [-1, 1); a second call continues the stream."""
+    rng = SplitMix64(seed)
+    draws = np.concatenate([rng.uniform((1, 2)).ravel(), rng.uniform((1,))])
+    assert draws.tolist() == [(z >> 11) * 2.0**-52 - 1.0 for z in outputs]
+
+
+@pytest.mark.parametrize("s", [0, 7, 11])
+def test_ensemble_streams_share_no_draw(s):
+    """The benchmark's ensemble seeds 4s + j (j = 0-3) give streams whose
+    first 10^5 draws are all different."""
+    draws = np.concatenate([SplitMix64(4 * s + j).uniform((10**5,)) for j in range(4)])
+    assert np.unique(draws).size == draws.size
 
 
 def test_uniform_perturbed_zero_amplitude_is_ground_state():

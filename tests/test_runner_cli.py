@@ -169,6 +169,25 @@ def test_cli_loads_exactly_the_package_modules():
     assert set(loaded.split()) == files
 
 
+def test_run_loads_no_random_or_crypto_modules(tmp_path):
+    """A CLI run in a fresh interpreter leaves numpy.random, and the secrets,
+    hmac and _hashlib modules it would pull in with libcrypto, unloaded: the
+    seeded initial state comes from the package's own stream."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(_config_text(tmp_path, n=8, t_end=1e-3))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = ("import sys; from nemflow.cli import main; status = main(['run', sys.argv[1]]); "
+            "print(status, *sorted(m for m in ('numpy.random', 'secrets', 'hmac', '_hashlib') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code, str(cfg_path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["0"]
+    assert len((tmp_path / "trace.csv").read_text().splitlines()) == 2
+
+
 def test_snapshot_roundtrip_bitwise(tmp_path):
     rng = np.random.default_rng(0)
     fields = {
