@@ -211,9 +211,10 @@ def from_padded(values_padded: np.ndarray, grid: GridSpec) -> np.ndarray:
     return project_real(out, dim)
 
 
-def padded_gradient(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Real samples of every partial derivative on the quadratic padded grid;
-    the derivative axis follows the leading axes.
+def padded_gradient(coeffs: np.ndarray, grid: GridSpec,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Real samples of every partial derivative on the quadratic padded grid,
+    written into out if given; the derivative axis follows the leading axes.
 
     Each direction is differentiated as it fills to_padded's staging
     spectrum (the factor i 2 pi k_j) and padded straight into its slot of the
@@ -223,13 +224,18 @@ def padded_gradient(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     """
     ik = _TWO_PI_I * wavevectors(grid)
     lead = coeffs.shape[:-grid.dim]
-    out = np.empty(lead + (grid.dim,) + (padded_size(grid, 2),) * grid.dim)
+    if out is None:
+        out = np.empty(lead + (grid.dim,) + (padded_size(grid, 2),) * grid.dim)
     for j in range(grid.dim):
         to_padded(coeffs, grid, 2, out=out[(Ellipsis, j) + (slice(None),) * grid.dim], factor=ik[j])
     return out
 
 
-def padded_bundle(coeffs: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+def padded_bundle(
+    coeffs: np.ndarray, grid: GridSpec, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """(samples, gradient samples) of a field on the quadratic padded grid:
-    the input of every bilinear product in coupling."""
-    return to_padded(coeffs, grid, 2), padded_gradient(coeffs, grid)
+    the input of every bilinear product in coupling; given out, a (samples,
+    gradient) pair of arrays, written into them."""
+    values, grad = out or (None, None)
+    return to_padded(coeffs, grid, 2, out=values), padded_gradient(coeffs, grid, out=grad)

@@ -24,6 +24,7 @@ the preconditioner never alters what is solved, only how fast.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -138,7 +139,9 @@ class _Terms:
     """The nonlinear terms at one iterate that outlive its residual, for the
     Jacobian actions of the pass built on it: mu and v (coefficients), the
     padded bundles of d, mu and w = u + v, and the samples of u and of d on
-    the well term's grid.  Transport and convection enter the residual only."""
+    the well term's grid.  Transport and convection enter the residual only.
+    The padded terms are views of the workspace's buffer, valid until its next
+    terms() call overwrites them."""
 
     mu: np.ndarray
     v: np.ndarray
@@ -210,6 +213,10 @@ class _Workspace:
     dim x dim Schur complement per wavenumber, after eliminating the scalar
     momentum block: S^{-1} with S = A - B C / s, and B / s, C and s, all
     mode-last, (dim, dim, modes).
+
+    It also owns one buffer for the padded terms of its iterate, which each
+    terms() call overwrites: the terms it returns are views, valid until the
+    next call, and their pages stay mapped from one evaluation to the next.
     """
 
     def __init__(self, grid: GridSpec, params: ModelParams, tau: float,
@@ -224,6 +231,20 @@ class _Workspace:
         self.cubic_on_bundle_grid = padded_size(grid, 3) == padded_size(grid, 2)
 
         dim = grid.dim
+        # the padded terms' buffer, carved into views: the bundles of d, mu and
+        # w, u's samples and, off the bundle grid, d's samples on the well
+        # term's grid
+        field2 = (dim,) + (padded_size(grid, 2),) * dim
+        shapes = [field2, (dim,) + field2] * 3 + [field2]
+        if not self.cubic_on_bundle_grid:
+            shapes.append((dim,) + (padded_size(grid, 3),) * dim)
+        sizes = [math.prod(s) for s in shapes]
+        views = [part.reshape(s) for part, s in
+                 zip(np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1]), shapes)]
+        self._d_b, self._mu_b, self._w_b = (tuple(views[k:k + 2]) for k in (0, 2, 4))
+        self._u_p = views[6]
+        self._d3_p = None if self.cubic_on_bundle_grid else views[7]
+
         eye = np.eye(dim)
         beta = self.lap.reshape(-1)
         b = d_prev_hat[(slice(None),) + (0,) * dim].real  # mean director
@@ -258,15 +279,15 @@ class _Workspace:
         """The terms at the iterate (d_hat, u_hat) and its residual (r_d, r_u).
         conv is div P(u (x) u), which "none" mode aliases (see coupling)."""
         p, grid = self.params, self.grid
-        d_b = padded_bundle(d_hat, grid)
-        d3_p = d_b[0] if self.cubic_on_bundle_grid else to_padded(d_hat, grid, degree=3)
+        d_b = padded_bundle(d_hat, grid, out=self._d_b)
+        d3_p = d_b[0] if self.cubic_on_bundle_grid else to_padded(d_hat, grid, 3, out=self._d3_p)
         fp = f_plus_hat(d_hat, grid, p.gamma, d3_p)
         mu = band_limit_hat(self.lap * d_hat + fp - self.d_prev / p.gamma, grid)
-        mu_b = padded_bundle(mu, grid)
+        mu_b = padded_bundle(mu, grid, out=self._mu_b)
         v = extra_velocity_hat((mu_b, d_b), p.alpha, grid)
-        w_b = padded_bundle(u_hat + v, grid)
+        w_b = padded_bundle(u_hat + v, grid, out=self._w_b)
         transport = director_transport_hat((d_b, w_b), p.alpha, grid)
-        u_p = to_padded(u_hat, grid, 2)
+        u_p = to_padded(u_hat, grid, 2, out=self._u_p)
         conv = convective_hat([(u_p, u_p)], grid)
         r_d, r_u = self._assemble(d_hat - self.d_prev, u_hat - self.u_prev, u_hat,
                                   transport, mu, conv, v)
@@ -574,6 +595,9 @@ def implicit_step(
         with np.errstate(over="ignore", invalid="ignore"):
             ws = _Workspace(grid, params, tau, prev.d.coeffs, prev.u.coeffs)
             attempts.append(_picard_attempt(ws, cfg, None if attempts else guess))
+        # neither the next attempt nor the ledger runs beside this
+        # workspace's padded terms and blocks
+        del ws
         tau *= cfg.tau_shrink
 
     done = attempts[-1]

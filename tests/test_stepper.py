@@ -537,7 +537,10 @@ def test_one_set_of_padded_terms_alive(monkeypatch):
     alive: the iterate's go once its Newton direction is built, a rejected
     trial's once it is rejected, an overflowing start's at once.  The
     returned tuple cannot be weakly referenced, so its elements (the terms and
-    the residual pair) are tracked, by call number and position."""
+    the residual pair) are tracked, by call number and position.  The padded
+    terms are views of one workspace buffer that each terms() call
+    overwrites, so this also guards against reading overwritten terms: no
+    _Terms is alive when the next is built."""
     alive, crowd, passes = weakref.WeakValueDictionary(), [], []
     real_terms, real_gmres = _Workspace.terms, stepper._gmres
 
@@ -700,6 +703,43 @@ def test_jacobian_action_equals_two_pair_formula(dim, n, mode):
         direction = _direction(ws.grid, seed)
         got, want = ws.jacobian_action(t, *direction), _two_pair_action(ws, t, *direction)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def _term_arrays(t):
+    """Every array of a _Terms, mu and v first, then the padded ones."""
+    return [t.mu, t.v, *t.d_b, *t.mu_b, *t.w_b, t.u_p, t.d3_p]
+
+
+@pytest.mark.parametrize("dim,n,mode", [(2, 16, "two_thirds"), (3, 8, "exact")])
+def test_terms_reuse_the_workspace_buffer(dim, n, mode):
+    """A workspace's terms() overwrites one buffer of padded terms: after the
+    workspace has evaluated other iterates, an overflowing one included, the
+    terms and the residual pair at an iterate equal, bit for bit, those of a
+    fresh workspace; consecutive terms share their padded memory, and a
+    Jacobian action writes none of its terms.  In 3D exact mode d's samples
+    on the well term's grid are a view of their own (16^3 against 12^3)."""
+    ws, d_hat, u_hat = _action_state(GridSpec(dim, n, mode))
+    fresh = _Workspace(ws.grid, ws.params, ws.tau, ws.d_prev, ws.u_prev)
+    t, r_d, r_u = fresh.terms(d_hat, u_hat)
+    want = [a.copy() for a in (*_term_arrays(t), r_d, r_u)]
+    assert (t.d3_p is t.d_b[0]) == ws.cubic_on_bundle_grid == (dim == 2)
+
+    first = ws.terms(*_direction(ws.grid, 96))[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        over, r_d, r_u = ws.terms(1e200 * d_hat, u_hat)
+    assert not (np.isfinite(r_d).all() and np.isfinite(r_u).all())
+    assert not all(np.isfinite(a).all() for a in _term_arrays(over)[2:])
+    t, r_d, r_u = ws.terms(d_hat, u_hat)
+    got = (*_term_arrays(t), r_d, r_u)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert all(a.base is t.d_b[0].base for a in _term_arrays(t)[2:])  # one allocation
+    padded = _term_arrays(t)[2:]
+    for older in (first, over):
+        assert all(np.shares_memory(a, b) for a, b in zip(_term_arrays(older)[2:], padded))
+
+    before = [a.copy() for a in _term_arrays(t)]
+    ws.jacobian_action(t, *_direction(ws.grid, 97))
+    assert [a.tobytes() for a in _term_arrays(t)] == [a.tobytes() for a in before]
 
 
 def test_gmres_builds_its_basis_in_place():
@@ -914,14 +954,16 @@ def test_warm_3d_step_peak_in_padded_arrays():
 def test_ledger_runs_after_the_padded_terms_are_gone(monkeypatch):
     """When the step builds its ledger (whose well quadrature pads d onto the
     degree-4 grid), no padded array of any residual evaluation is alive: the
-    converged attempt keeps mu and v, not its terms."""
-    refs, at_ledger = [], []  # weakrefs to every padded term; live ones at the ledger
+    converged attempt keeps mu and v, not its terms, and the step drops its
+    last workspace, whose buffer the padded terms are views of."""
+    refs, at_ledger = [], []  # weakrefs to every padded term and buffer; live ones at the ledger
     real_terms, real_ledger = _Workspace.terms, stepper.build_ledger
 
     def spy_terms(self, *args):
         out = real_terms(self, *args)
         t = out[0]
         refs.extend(weakref.ref(a) for a in (*t.d_b, *t.mu_b, *t.w_b, t.u_p, t.d3_p))
+        refs.append(weakref.ref(t.d_b[0].base))
         return out
 
     def spy_ledger(*args, **kwargs):
