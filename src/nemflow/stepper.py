@@ -136,15 +136,13 @@ class StepResult:
 
 @dataclass
 class _Terms:
-    """The nonlinear terms at one iterate that outlive its residual, for the
-    Jacobian actions of the pass built on it: mu and v (coefficients), the
-    padded bundles of d, mu and w = u + v, and the samples of u and of d on
-    the well term's grid.  Transport and convection enter the residual only.
-    The padded terms are views of the workspace's buffer, valid until its next
-    terms() call overwrites them."""
+    """What the Jacobian actions of a pass read at the iterate it is built
+    on: the padded bundles of d, mu and w = u + v, and the samples of u and
+    of d on the well term's grid, all views of the workspace's buffer, valid
+    until its next terms() call overwrites them.  The iterate's mu and v
+    (coefficients) are not among them, as no action reads them; transport and
+    convection enter the residual only."""
 
-    mu: np.ndarray
-    v: np.ndarray
     d_b: tuple[np.ndarray, np.ndarray]
     mu_b: tuple[np.ndarray, np.ndarray]
     w_b: tuple[np.ndarray, np.ndarray]
@@ -159,7 +157,9 @@ class Attempt:
     "overflow" (no start had a finite residual).  evals counts the
     evaluations with a finite residual, the start's included; residual is the
     last one (inf on overflow); solution is the converged (d_hat, u_hat, mu,
-    v), else None, so no padded term outlives the attempt into the ledger."""
+    v), else None: coefficients only, the only mu and v an attempt keeps past
+    its last evaluation, so no padded term outlives the attempt into the
+    ledger."""
 
     tau: float
     outcome: str
@@ -275,14 +275,17 @@ class _Workspace:
 
     def terms(
         self, d_hat: np.ndarray, u_hat: np.ndarray
-    ) -> tuple[_Terms, np.ndarray, np.ndarray]:
-        """The terms at the iterate (d_hat, u_hat) and its residual (r_d, r_u).
-        conv is div P(u (x) u), which "none" mode aliases (see coupling)."""
+    ) -> tuple[_Terms, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The terms at the iterate (d_hat, u_hat), its residual (r_d, r_u),
+        and its mu and v, coefficients that no Jacobian action reads, for the
+        solution.  The well term's coefficients fp go once mu is formed.  conv
+        is div P(u (x) u), which "none" mode aliases (see coupling)."""
         p, grid = self.params, self.grid
         d_b = padded_bundle(d_hat, grid, out=self._d_b)
         d3_p = d_b[0] if self.cubic_on_bundle_grid else to_padded(d_hat, grid, 3, out=self._d3_p)
         fp = f_plus_hat(d_hat, grid, p.gamma, d3_p)
         mu = band_limit_hat(self.lap * d_hat + fp - self.d_prev / p.gamma, grid)
+        del fp  # mu's last input
         mu_b = padded_bundle(mu, grid, out=self._mu_b)
         v = extra_velocity_hat((mu_b, d_b), p.alpha, grid)
         w_b = padded_bundle(u_hat + v, grid, out=self._w_b)
@@ -291,7 +294,7 @@ class _Workspace:
         conv = convective_hat([(u_p, u_p)], grid)
         r_d, r_u = self._assemble(d_hat - self.d_prev, u_hat - self.u_prev, u_hat,
                                   transport, mu, conv, v)
-        return _Terms(mu, v, d_b, mu_b, w_b, u_p, d3_p), r_d, r_u
+        return _Terms(d_b, mu_b, w_b, u_p, d3_p), r_d, r_u, mu, v
 
     def jacobian_action(
         self, t: _Terms, delta_d: np.ndarray, delta_u: np.ndarray
@@ -300,10 +303,11 @@ class _Workspace:
         underlying t.  All product operators are bilinear, so the derivative
         is a sum of the same operators with one argument replaced, and each
         such sum is truncated once.  The well term goes first, in row blocks,
-        and off the bundle grid delta_d's samples on its grid are gone before
-        delta_d's bundle is padded.  The products of delta_d are formed next,
-        as padded sums that the products of delta_mu and delta_w are then
-        added into, so one padded direction bundle is alive at a time."""
+        and delta_mu is formed from it; off the bundle grid delta_d's samples
+        on the well term's grid and the well term's coefficients are gone
+        before delta_d's bundle is padded.  The products of delta_d are formed
+        next, as padded sums that the products of delta_mu and delta_w are
+        then added into, so one padded direction bundle is alive at a time."""
         p, grid = self.params, self.grid
         dd_b = padded_bundle(delta_d, grid) if self.cubic_on_bundle_grid else None
         dd3_p = to_padded(delta_d, grid, degree=3) if dd_b is None else dd_b[0]
@@ -314,8 +318,9 @@ class _Workspace:
 
         dfp = from_padded(_row_blocks(well, dd3_p.shape, grid), grid)
         del dd3_p  # the well term's last read
-        dd_b = dd_b or padded_bundle(delta_d, grid)
         dmu = band_limit_hat(self.lap * delta_d + dfp, grid)
+        del dfp  # delta_mu's last input
+        dd_b = dd_b or padded_bundle(delta_d, grid)
         dv = extra_velocity_padded((t.mu_b, dd_b), p.alpha, grid)
         dtrans = director_transport_padded((dd_b, t.w_b), p.alpha, grid)
         del dd_b  # its last products are done
@@ -474,11 +479,11 @@ def _picard_attempt(ws: _Workspace, cfg: PicardConfig,
 
     def evaluate(x):
         d_hat, u_hat = ws.split(x)
-        t, r_d, r_u = ws.terms(d_hat, u_hat)
+        t, r_d, r_u, mu, v = ws.terms(d_hat, u_hat)
         rd = spectral_l2_norm(r_d) / (1.0 + spectral_l2_norm(d_hat))
         ru = spectral_l2_norm(r_u) / (1.0 + spectral_l2_norm(u_hat))
         res = max(rd, ru) if np.isfinite(rd) and np.isfinite(ru) else np.inf
-        return res, ((d_hat, u_hat, t, r_d, r_u) if res < np.inf else None)
+        return res, ((d_hat, u_hat, mu, v, t, r_d, r_u) if res < np.inf else None)
 
     warm = guess is not None
     x = ws.join(*(guess if warm else (ws.d_prev, ws.u_prev)))
@@ -500,9 +505,10 @@ def _picard_attempt(ws: _Workspace, cfg: PicardConfig,
         if payload is None:  # the last pass was a sweep that failed
             payload = evaluate(x)[1]
             evals += 1
-        t, rhs = payload[2], ws.join(*payload[3:])
+        t, rhs = payload[4], ws.join(*payload[5:])
         # r_d, r_u live on in rhs only, which the sweep reads or _gmres
-        # consumes as its first basis vector; the last update is spent
+        # consumes as its first basis vector; the iterate's mu and v, which
+        # neither reads, and the last update are spent
         payload = step = None
 
         # Eisenstat-Walker-style forcing (SISC 1996), relative to |F|: at most
@@ -548,7 +554,7 @@ def _picard_attempt(ws: _Workspace, cfg: PicardConfig,
             payload = None
         else:
             return Attempt(ws.tau, "line_search", evals, res)
-    return Attempt(ws.tau, "converged", evals, res, payload[:2] + (payload[2].mu, payload[2].v))
+    return Attempt(ws.tau, "converged", evals, res, payload[:4])
 
 
 def implicit_step(

@@ -169,7 +169,7 @@ def _sweep(prev, iterate, params):
     ws = _Workspace(grid, params, params.tau,
                     fftn_norm(prev.d.values, grid.dim), fftn_norm(prev.u.values, grid.dim))
     d_hat, u_hat = (fftn_norm(f.values, grid.dim) for f in iterate)
-    _, r_d, r_u = ws.terms(d_hat, u_hat)
+    r_d, r_u = ws.terms(d_hat, u_hat)[1:3]
     step = ws.join(*ws.precondition_vec(ws.join(r_d, r_u)))
     d_out, u_out = ws.split(ws.join(d_hat, u_hat) - step)
     return (VectorField(grid, ifftn_norm(d_out, grid.dim)),
@@ -421,7 +421,7 @@ def test_jacobian_action_is_derivative_of_residual(dim, n, mode):
 
     def residual(y):
         d_hat, u_hat = ws.split(y)
-        return ws.join(*ws.terms(d_hat, u_hat)[1:])
+        return ws.join(*ws.terms(d_hat, u_hat)[1:3])
 
     d_hat, u_hat = ws.split(x)
     action = ws.join(*ws.jacobian_action(ws.terms(d_hat, u_hat)[0], *ws.split(delta)))
@@ -605,6 +605,58 @@ def test_newton_pass_releases_dead_arrays(monkeypatch):
     assert not any(at_action), at_action
 
 
+def test_no_dead_mu_v_or_well_term_alive(monkeypatch):
+    """No Jacobian action reads the iterate's mu and v, and a well term's
+    coefficients are read by the mu formed from them only: during each
+    action no residual evaluation's mu or v is alive, and whenever a bundle
+    is padded, in a residual evaluation or an action, no well term's
+    coefficients are (an evaluation's fp goes once mu is formed, an action's
+    once delta_mu is, before delta_d's bundle off the bundle grid)."""
+    fields, wells = [], []  # weakrefs: every evaluation's mu and v; every well term
+    at_action, at_bundle, acting = [], [], []  # live ones at each action and padding
+    real_limit, real_velocity, real_fp, real_from, real_bundle, real_action = (
+        stepper.band_limit_hat, stepper.extra_velocity_hat, stepper.f_plus_hat,
+        stepper.from_padded, stepper.padded_bundle, _Workspace.jacobian_action)
+
+    def tracked(real, refs, evaluation_only=False):
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            if not (evaluation_only and acting):
+                refs.append(weakref.ref(out))
+            return out
+        return spy
+
+    def spy_bundle(*args, **kwargs):
+        at_bundle.append(sum(ref() is not None for ref in wells))
+        return real_bundle(*args, **kwargs)
+
+    def spy_action(self, *args):
+        at_action.append(sum(ref() is not None for ref in fields))
+        acting.append(1)
+        try:
+            return real_action(self, *args)
+        finally:
+            acting.pop()
+
+    # in the stepper, from_padded truncates an action's well term only;
+    # band_limit_hat and extra_velocity_hat form mu and v in an evaluation
+    monkeypatch.setattr(stepper, "band_limit_hat", tracked(real_limit, fields, True))
+    monkeypatch.setattr(stepper, "extra_velocity_hat", tracked(real_velocity, fields, True))
+    monkeypatch.setattr(stepper, "f_plus_hat", tracked(real_fp, wells))
+    monkeypatch.setattr(stepper, "from_padded", tracked(real_from, wells))
+    monkeypatch.setattr(stepper, "padded_bundle", spy_bundle)
+    monkeypatch.setattr(_Workspace, "jacobian_action", spy_action)
+    with refcounting_only():
+        result = implicit_step(_warm_start_level(),
+                               ModelParams(alpha=0.3, gamma=0.1, epsilon=0.01, tau=1e-3),
+                               PicardConfig(tol=1e-12))
+    evals = result.ledger.picard_iters
+    assert len(fields) >= 2 * evals and len(wells) > evals
+    assert len(at_action) > 2 and len(at_bundle) > 3 * len(at_action)
+    assert not any(at_action), at_action
+    assert not any(at_bundle), at_bundle
+
+
 def test_jacobian_actions_find_no_transport_or_conv(monkeypatch):
     """transport and conv enter the residual only: during each Jacobian
     action none of them, from any residual evaluation, is alive (nor the
@@ -706,36 +758,36 @@ def test_jacobian_action_equals_two_pair_formula(dim, n, mode):
 
 
 def _term_arrays(t):
-    """Every array of a _Terms, mu and v first, then the padded ones."""
-    return [t.mu, t.v, *t.d_b, *t.mu_b, *t.w_b, t.u_p, t.d3_p]
+    """Every array of a _Terms: its padded terms."""
+    return [*t.d_b, *t.mu_b, *t.w_b, t.u_p, t.d3_p]
 
 
 @pytest.mark.parametrize("dim,n,mode", [(2, 16, "two_thirds"), (3, 8, "exact")])
 def test_terms_reuse_the_workspace_buffer(dim, n, mode):
     """A workspace's terms() overwrites one buffer of padded terms: after the
     workspace has evaluated other iterates, an overflowing one included, the
-    terms and the residual pair at an iterate equal, bit for bit, those of a
-    fresh workspace; consecutive terms share their padded memory, and a
+    terms, the residual pair, mu and v at an iterate equal, bit for bit, those
+    of a fresh workspace; consecutive terms share their padded memory, and a
     Jacobian action writes none of its terms.  In 3D exact mode d's samples
     on the well term's grid are a view of their own (16^3 against 12^3)."""
     ws, d_hat, u_hat = _action_state(GridSpec(dim, n, mode))
     fresh = _Workspace(ws.grid, ws.params, ws.tau, ws.d_prev, ws.u_prev)
-    t, r_d, r_u = fresh.terms(d_hat, u_hat)
-    want = [a.copy() for a in (*_term_arrays(t), r_d, r_u)]
+    t, *fields = fresh.terms(d_hat, u_hat)  # r_d, r_u, mu, v
+    want = [a.copy() for a in (*_term_arrays(t), *fields)]
     assert (t.d3_p is t.d_b[0]) == ws.cubic_on_bundle_grid == (dim == 2)
 
     first = ws.terms(*_direction(ws.grid, 96))[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        over, r_d, r_u = ws.terms(1e200 * d_hat, u_hat)
+        over, r_d, r_u = ws.terms(1e200 * d_hat, u_hat)[:3]
     assert not (np.isfinite(r_d).all() and np.isfinite(r_u).all())
-    assert not all(np.isfinite(a).all() for a in _term_arrays(over)[2:])
-    t, r_d, r_u = ws.terms(d_hat, u_hat)
-    got = (*_term_arrays(t), r_d, r_u)
+    assert not all(np.isfinite(a).all() for a in _term_arrays(over))
+    t, *fields = ws.terms(d_hat, u_hat)
+    got = (*_term_arrays(t), *fields)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-    assert all(a.base is t.d_b[0].base for a in _term_arrays(t)[2:])  # one allocation
-    padded = _term_arrays(t)[2:]
+    assert all(a.base is t.d_b[0].base for a in _term_arrays(t))  # one allocation
+    padded = _term_arrays(t)
     for older in (first, over):
-        assert all(np.shares_memory(a, b) for a, b in zip(_term_arrays(older)[2:], padded))
+        assert all(np.shares_memory(a, b) for a, b in zip(_term_arrays(older), padded))
 
     before = [a.copy() for a in _term_arrays(t)]
     ws.jacobian_action(t, *_direction(ws.grid, 97))
@@ -937,18 +989,22 @@ def test_warm_step_peak_in_padded_arrays():
     """The traced peak of one warm-started step at 2D n=64 two_thirds, in
     quadratic padded components (96^2 float64): 99.7 before Jacobian actions
     kept one direction bundle at a time, levels held no samples and the
-    Krylov basis was built in place, 88.9 after."""
+    Krylov basis was built in place, 88.9 after, and 86.2 once the terms a
+    GMRES pass holds left out the iterate's mu and v and the well terms' fp
+    and dfp went as soon as mu and delta_mu were formed."""
     peak = _warm_step_peak(GridSpec(2, 64, "two_thirds"))
-    assert peak <= 94, peak
+    assert peak <= 89, peak
 
 
 def test_warm_3d_step_peak_in_padded_arrays():
     """The same at 3D n=12 exact (18^3 float64), where the well term has its
     own padded grid (24^3): 104.0 while a Jacobian action padded delta_d's
     bundle before its well term and truncated through full-width spectra,
-    96.0 with the well term first, in row blocks, and narrow truncations."""
+    96.0 with the well term first, in row blocks, and narrow truncations,
+    92.4 without the iterate's mu and v in a pass's terms and with fp and dfp
+    released once mu and delta_mu were formed."""
     peak = _warm_step_peak(GridSpec(3, 12, "exact"))
-    assert peak <= 100, peak
+    assert peak <= 95, peak
 
 
 def test_ledger_runs_after_the_padded_terms_are_gone(monkeypatch):
